@@ -21,7 +21,7 @@ from .families import generate, parse_family, parse_family_range
 from .graph import Graph, format_edge_list, parse_dimacs, parse_edge_list
 from .invariants import chromatic_number, domination_number, total_domination_number
 from .perturb import dom_bondage, dom_stability
-from .solver import DEFAULT_BACKEND, available_backends, dom_chromatic
+from .solver import available_backends, dom_chromatic
 
 
 def _load_target(target: str, fmt: str | None) -> Graph:
@@ -182,10 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except DomchromError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DomchromError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

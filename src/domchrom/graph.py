@@ -91,11 +91,6 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def _canon_edge(e: Sequence[int]) -> Edge:
-    u, v = e
-    return (u, v) if u < v else (v, u)
-
-
 def make_graph(n: int, edges: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a graph from a vertex count and an edge collection.
 
@@ -113,49 +108,44 @@ def make_graph(n: int, edges: Iterable[Sequence[int]] = ()) -> Graph:
     return Graph(n, tuple(masks))
 
 
+def induced(g: Graph, vertices: Sequence[int]) -> Graph:
+    """Subgraph induced on distinct ``vertices``, with ``vertices[i]``
+    relabeled ``i``."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    keep = 0
+    for v in vertices:
+        keep |= 1 << v
+    adj = []
+    for v in vertices:
+        mask = 0
+        for u in bits(g.adj[v] & keep):
+            mask |= 1 << pos[u]
+        adj.append(mask)
+    return Graph(len(adj), tuple(adj))
+
+
 # -- deletion -------------------------------------------------------------
-
-
-def deletion_map(g: Graph, removed: Iterable[int]) -> dict[int, int]:
-    """Old->new vertex map after deleting ``removed`` and relabeling densely.
-
-    Kept so perturbation witnesses can be reported in the labels of the
-    original input graph.
-    """
-    gone = set(removed)
-    for v in gone:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex out of range: {v}")
-    mapping = {}
-    nxt = 0
-    for v in range(g.n):
-        if v not in gone:
-            mapping[v] = nxt
-            nxt += 1
-    return mapping
 
 
 def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the complement of ``vertices``, densely relabeled."""
-    mapping = deletion_map(g, vertices)
-    edges = [
-        (mapping[u], mapping[v])
-        for u, v in g.edges()
-        if u in mapping and v in mapping
-    ]
-    return make_graph(len(mapping), edges)
+    gone = set(vertices)
+    for v in gone:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex out of range: {v}")
+    return induced(g, [v for v in range(g.n) if v not in gone])
 
 
 def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     """Same vertex set with the given edges removed; absent edges raise."""
-    drop = set()
+    adj = list(g.adj)
     for e in edges:
-        ce = _canon_edge(e)
-        if not g.has_edge(*ce):
+        u, v = e
+        if not g.has_edge(u, v):
             raise ValueError(f"edge not in graph: {tuple(e)}")
-        drop.add(ce)
-    kept = [e for e in g.edges() if e not in drop]
-    return make_graph(g.n, kept)
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return Graph(g.n, tuple(adj))
 
 
 # -- composition ----------------------------------------------------------
@@ -163,8 +153,7 @@ def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Vertex-disjoint union; ``h``'s vertices are shifted by ``g.n``."""
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return make_graph(g.n + h.n, edges)
+    return r_glue(g, h, (), ())
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -185,20 +174,7 @@ def point_attach(g: Graph, h: Graph, u: int, v: int) -> Graph:
     The identified vertex keeps label ``u``; the remaining vertices of ``h``
     are appended densely after ``g``'s.
     """
-    if not (0 <= u < g.n):
-        raise ValueError(f"vertex out of range in first graph: {u}")
-    if not (0 <= v < h.n):
-        raise ValueError(f"vertex out of range in second graph: {v}")
-    mapping = {}
-    nxt = g.n
-    for w in range(h.n):
-        if w == v:
-            mapping[w] = u
-        else:
-            mapping[w] = nxt
-            nxt += 1
-    edges = g.edges() + [(mapping[a], mapping[b]) for a, b in h.edges()]
-    return make_graph(g.n + h.n - 1, edges)
+    return r_glue(g, h, (u,), (v,))
 
 
 def _is_clique(g: Graph, vs: Sequence[int]) -> bool:
@@ -225,16 +201,17 @@ def r_glue(g: Graph, h: Graph, clique_g: Sequence[int], clique_h: Sequence[int])
         raise ValueError("selected vertices do not induce a clique in the first graph")
     if not _is_clique(h, clique_h):
         raise ValueError("selected vertices do not induce a clique in the second graph")
-    mapping = {}
-    for hv, gv in zip(clique_h, clique_g):
-        mapping[hv] = gv
+    mapping = dict(zip(clique_h, clique_g))
     nxt = g.n
     for w in range(h.n):
         if w not in mapping:
             mapping[w] = nxt
             nxt += 1
-    edges = g.edges() + [(mapping[a], mapping[b]) for a, b in h.edges()]
-    return make_graph(g.n + h.n - len(clique_g), edges)
+    adj = list(g.adj) + [0] * (nxt - g.n)
+    for w in range(h.n):
+        for x in bits(h.adj[w]):
+            adj[mapping[w]] |= 1 << mapping[x]
+    return Graph(len(adj), tuple(adj))
 
 
 # -- traversal ------------------------------------------------------------
@@ -293,17 +270,9 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
             continue
         dist = _bfs_masks(g.adj, v)
         members = [u for u, d in enumerate(dist) if d >= 0]
-        comp_mask = 0
         for u in members:
-            comp_mask |= 1 << u
-        seen |= comp_mask
-        index = {u: i for i, u in enumerate(members)}
-        edges = [
-            (index[a], index[b])
-            for a, b in g.edges()
-            if a in index and b in index
-        ]
-        out.append((make_graph(len(members), edges), tuple(members)))
+            seen |= 1 << u
+        out.append((induced(g, members), tuple(members)))
     return out
 
 

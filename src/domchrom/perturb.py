@@ -64,6 +64,23 @@ def _value_cache(backend):
     return value
 
 
+def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> PerturbationResult:
+    """Try removing every subset of ``items``, smallest and lexicographically
+    first, until the value changes."""
+    deadline = _Deadline(budget_ms)
+    value = _value_cache(backend)
+    before = value(g)
+    for s in range(1, len(items) + 1):
+        for subset in combinations(items, s):
+            deadline.check()
+            after = value(delete(g, subset))
+            if after != before:
+                return PerturbationResult(
+                    mode, True, before, size=s, witness=subset, after=after
+                )
+    return PerturbationResult(mode, False, before)
+
+
 def dom_stability(
     g: Graph,
     *,
@@ -80,18 +97,7 @@ def dom_stability(
         raise BudgetExceededError(
             f"stability sweep refused: {g.n} vertices exceeds the cap of {max_vertices}"
         )
-    deadline = _Deadline(budget_ms)
-    value = _value_cache(backend)
-    before = value(g)
-    for s in range(1, g.n + 1):
-        for subset in combinations(range(g.n), s):
-            deadline.check()
-            after = value(delete_vertices(g, subset))
-            if after != before:
-                return PerturbationResult(
-                    "vertex", True, before, size=s, witness=subset, after=after
-                )
-    raise AssertionError("removing every vertex always changes the value")
+    return _sweep(g, "vertex", range(g.n), delete_vertices, budget_ms, backend)
 
 
 def dom_bondage(
@@ -110,18 +116,7 @@ def dom_bondage(
         raise BudgetExceededError(
             f"bondage sweep refused: {len(edges)} edges exceeds the cap of {max_edges}"
         )
-    deadline = _Deadline(budget_ms)
-    value = _value_cache(backend)
-    before = value(g)
-    for s in range(1, len(edges) + 1):
-        for subset in combinations(edges, s):
-            deadline.check()
-            after = value(delete_edges(g, subset))
-            if after != before:
-                return PerturbationResult(
-                    "edge", True, before, size=s, witness=subset, after=after
-                )
-    return PerturbationResult("edge", False, before)
+    return _sweep(g, "edge", edges, delete_edges, budget_ms, backend)
 
 
 # -- closed-form stability/bondage tables -------------------------------------

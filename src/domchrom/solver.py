@@ -18,7 +18,7 @@ from typing import Mapping
 
 from . import _kernel_py
 from .errors import OracleCapError
-from .graph import Graph, bits, components
+from .graph import Graph, components, induced
 from .invariants import greedy_clique, total_domination_number
 
 try:
@@ -179,13 +179,7 @@ def _solve_component(comp: Graph, kernel) -> tuple[int, list[int]]:
     """Exact minimum for a connected isolate-free graph, with a coloring
     in local labels (0-based)."""
     order = _degeneracy_order(list(comp.adj))
-    pos = {v: i for i, v in enumerate(order)}
-    local_adj = []
-    for i, v in enumerate(order):
-        mask = 0
-        for u in bits(comp.adj[v]):
-            mask |= 1 << pos[u]
-        local_adj.append(mask)
+    local_adj = induced(comp, order).adj
     for k in range(_component_lower_bound(comp), comp.n + 1):
         found = kernel(local_adj, k)
         if found is not None:

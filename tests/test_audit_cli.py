@@ -201,6 +201,18 @@ def test_cli_malformed_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_cli_directory_target_is_usage_error(tmp_path, capsys):
+    code = main(["solve", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_cli_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    code = main(["solve", "path:4", "--out", str(tmp_path / "missing" / "x.json")])
+    _, err = capsys.readouterr()
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_cli_budget_exceeded_is_usage_error(capsys):
     code = main(["perturb", "--mode", "vertex", "--budget", "0", "cycle:8"])
     _, err = capsys.readouterr()

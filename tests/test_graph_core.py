@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom.graph import bits, deletion_map, make_graph
+from domchrom.graph import bits, make_graph
 
 
 @st.composite
@@ -86,10 +86,9 @@ def test_delete_full_side_of_k33():
     assert h.n == 3 and h.m == 0
 
 
-def test_deletion_map_is_dense():
-    g = path(5)
-    m = deletion_map(g, [1, 3])
-    assert m == {0: 0, 2: 1, 4: 2}
+def test_delete_vertices_relabels_densely():
+    assert dc.delete_vertices(path(5), [2]) == make_graph(4, [(0, 1), (2, 3)])
+    assert dc.delete_vertices(path(5), [1, 3]) == make_graph(3, [])
 
 
 def test_delete_vertices_out_of_range():
@@ -124,6 +123,47 @@ def test_delete_absent_edge_raises():
 def test_deleting_nothing_is_identity(g):
     assert dc.delete_vertices(g, []) == g
     assert dc.delete_edges(g, []) == g
+
+
+def _induced_reference(g, kept):
+    index = {v: i for i, v in enumerate(kept)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return make_graph(len(kept), edges)
+
+
+def _subset(data, items):
+    picks = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    return [x for x, keep in zip(items, picks) if keep]
+
+
+@given(graphs(max_n=12), graphs(max_n=6), st.data())
+def test_derived_graphs_match_edge_list_reference(g, h, data):
+    gone = _subset(data, range(g.n))
+    kept = [v for v in range(g.n) if v not in gone]
+    assert dc.delete_vertices(g, gone) == _induced_reference(g, kept)
+
+    drop = _subset(data, g.edges())
+    want = make_graph(g.n, [e for e in g.edges() if e not in drop])
+    assert dc.delete_edges(g, [(v, u) for u, v in drop]) == want
+
+    comps = dc.components(g)
+    assert sorted(v for _, orig in comps for v in orig) == list(range(g.n))
+    assert [orig[0] for _, orig in comps] == sorted(orig[0] for _, orig in comps)
+    for comp, orig in comps:
+        assert list(orig) == sorted(orig)
+        assert comp == _induced_reference(g, orig)
+        assert dc.diameter(comp) < math.inf
+        assert all((u in orig) == (v in orig) for u, v in g.edges())
+
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges()]
+    assert dc.disjoint_union(g, h) == make_graph(g.n + h.n, g.edges() + shifted)
+
+    if g.n and h.n:
+        u = data.draw(st.integers(0, g.n - 1))
+        v = data.draw(st.integers(0, h.n - 1))
+        label = {w: u if w == v else g.n + w - (w > v) for w in range(h.n)}
+        glued = [(label[a], label[b]) for a, b in h.edges()]
+        assert dc.point_attach(g, h, u, v) == make_graph(g.n + h.n - 1, g.edges() + glued)
 
 
 # -- composition ---------------------------------------------------------------
