@@ -3,7 +3,9 @@
 These are the classical parameters the library's bounds reference.  All
 three use iterative deepening with a greedy upper bound first; at desk
 scale (around 20 vertices) clarity and verifiability beat sophistication.
-Every result carries a polynomial-time-checkable witness.
+Every result carries a polynomial-time-checkable witness.  The bitmask
+independence number next to ``greedy_clique`` serves the neighborhood
+bound of the solver and of ``sandwich``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,42 @@ def greedy_clique(adj: list[int] | tuple[int, ...]) -> list[int]:
             clique.append(v)
             mask &= adj[v]
     return clique
+
+
+def independence_number(adj: list[int] | tuple[int, ...], mask: int) -> int:
+    """Exact independence number of the subgraph induced by ``mask``.
+
+    Branches on the lowest vertex: take it and drop its neighbors, or
+    skip it.  A vertex with at most one neighbor ``u`` left in ``mask``
+    is always taken: a largest independent set without it contains ``u``,
+    and swapping ``u`` for it keeps the set independent.
+    """
+    size = 0
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        nbrs = adj[v] & rest
+        if nbrs & (nbrs - 1):
+            return size + max(
+                1 + independence_number(adj, rest & ~nbrs),
+                independence_number(adj, rest),
+            )
+        size += 1
+        mask = rest & ~nbrs
+    return size
+
+
+def max_neighborhood_independence(adj: list[int] | tuple[int, ...]) -> int:
+    """``max_d α(G[N(d)])``: the largest class any one dominator can hold.
+
+    ``α(G[N(d)]) <= deg d``, so a vertex whose degree does not exceed the
+    best value found so far is skipped without computing its α.
+    """
+    best = 0
+    for nbrs in adj:
+        if nbrs.bit_count() > best:
+            best = max(best, independence_number(adj, nbrs))
+    return best
 
 
 def _greedy_coloring(adj, order) -> list[int]:

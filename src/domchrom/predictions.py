@@ -26,6 +26,7 @@ from .graph import Graph
 from .invariants import (
     chromatic_number,
     domination_number,
+    max_neighborhood_independence,
     total_domination_number,
 )
 
@@ -409,16 +410,22 @@ def bound_r_glue(chi1: int, chi2: int, r: int) -> Prediction:
 
 
 def sandwich(g: Graph) -> Prediction:
-    """``max(chi, gamma_t) <= value <= chi * gamma`` for isolate-free graphs."""
+    """``max(chi, gamma_t, ⌈n / max_d α(G[N(d)])⌉) <= value <= chi * gamma``
+    for isolate-free graphs.
+
+    The third term holds because every class is an independent set inside
+    the open neighborhood of its dominator.
+    """
     if g.isolated_vertices():
         raise UndefinedInvariantError("sandwich bound needs an isolate-free graph")
     chi = chromatic_number(g).value
     gamma = domination_number(g).value
     gamma_t = total_domination_number(g).value
+    neighborhood = -(-g.n // max_neighborhood_independence(g.adj))
     return Prediction(
         "interval",
         PROVED,
         "sandwich bound",
-        lo=max(chi, gamma_t),
+        lo=max(chi, gamma_t, neighborhood),
         hi=chi * gamma,
     )

@@ -19,7 +19,11 @@ from typing import Mapping
 from . import _kernel_py
 from .errors import OracleCapError
 from .graph import Graph, components, induced
-from .invariants import greedy_clique, total_domination_number
+from .invariants import (
+    greedy_clique,
+    max_neighborhood_independence,
+    total_domination_number,
+)
 
 try:
     from . import _kernel  # type: ignore[attr-defined]
@@ -162,17 +166,23 @@ def _degeneracy_order(adj: list[int]) -> list[int]:
 
 
 def _component_lower_bound(comp: Graph) -> int:
-    """max(greedy clique, class-size count bound, total domination number).
+    """max(greedy clique, neighborhood-independence term, γ_t).
 
-    Valid because classes are cliques' rainbow targets (chromatic bound),
-    no class exceeds the maximum degree, and chosen dominators form a total
-    dominating set.
+    ``comp`` is connected with at least two vertices, hence isolate-free,
+    so every class of a dominated coloring has a dominator.
+
+    * Clique: the vertices of a clique need pairwise distinct colors.
+    * Neighborhood independence, ``⌈n / max_d α(G[N(d)])⌉``: a class is
+      independent and lies inside the open neighborhood N(d) of its
+      dominator d, so it holds at most α(G[N(d)]) vertices.  Since
+      α(G[N(d)]) <= deg d, this term is never below ``⌈n / Δ⌉``.
+    * Total domination number: the dominators of the classes cover every
+      vertex by open neighborhoods, so they form a total dominating set.
     """
     clique = len(greedy_clique(comp.adj))
-    delta = comp.max_degree()
-    count_bound = -(-comp.n // delta) if delta else comp.n
+    neighborhood = -(-comp.n // max_neighborhood_independence(comp.adj))
     gamma_t = total_domination_number(comp).value
-    return max(clique, count_bound, gamma_t, 1)
+    return max(clique, neighborhood, gamma_t)
 
 
 def _solve_component(comp: Graph, kernel) -> tuple[int, list[int]]:

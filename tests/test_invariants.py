@@ -1,8 +1,13 @@
 """Classical invariants against known values and brute-force enumeration."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domchrom as dc
+from domchrom.invariants import independence_number
 from corpus import random_corpus
 
 
@@ -51,6 +56,36 @@ def cover_brute(g, closed):
         if cover == full:
             best = min(best, bin(subset).count("1"))
     return best
+
+
+def alpha_brute(adj, vertices):
+    """Largest subset of ``vertices`` with no edge inside, by enumeration."""
+    for r in range(len(vertices), 0, -1):
+        for subset in itertools.combinations(vertices, r):
+            if all(not adj[u] >> v & 1 for u, v in itertools.combinations(subset, 2)):
+                return r
+    return 0
+
+
+# -- independence number -----------------------------------------------------------
+
+
+@st.composite
+def graph_and_mask(draw):
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = dc.make_graph(n, [e for e, keep in zip(pairs, picks) if keep])
+    vertices = draw(st.lists(st.sampled_from(range(n)), unique=True)) if n else []
+    return g, sorted(vertices)
+
+
+@settings(max_examples=400)
+@given(graph_and_mask())
+def test_independence_number_matches_brute_force(case):
+    g, vertices = case
+    mask = sum(1 << v for v in vertices)
+    assert independence_number(g.adj, mask) == alpha_brute(g.adj, vertices)
 
 
 # -- chromatic number ------------------------------------------------------------

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import domchrom as dc
+from domchrom import _kernel_py
+from domchrom.invariants import independence_number, max_neighborhood_independence
 from domchrom.solver import DomColoring
 from corpus import random_corpus
 
@@ -186,12 +188,44 @@ def test_class_size_bound(g):
     delta = g.max_degree()
     non_isolated = g.n - len(g.isolated_vertices())
     if delta:
-        assert all(
-            len(members) <= delta
+        dominated = [
+            (members, col.dominators[c])
             for c, members in col.classes().items()
             if c in col.dominators
+        ]
+        # a class is independent inside N(dominator), so alpha caps its size
+        assert all(
+            len(members) <= independence_number(g.adj, g.adj[d])
+            for members, d in dominated
         )
+        assert all(len(members) <= delta for members, _ in dominated)
+        assert k >= math.ceil(non_isolated / max_neighborhood_independence(g.adj))
         assert k >= math.ceil(non_isolated / delta)
+
+
+def kernel_ks(monkeypatch, g):
+    """Every k the Python kernel is asked about while solving ``g``."""
+    ks = []
+    find = _kernel_py.find_coloring
+
+    def recording(adj, k):
+        ks.append(k)
+        return find(adj, k)
+
+    monkeypatch.setattr(_kernel_py, "find_coloring", recording)
+    value = dc.dom_chromatic(g, backend="python")[0]
+    return value, ks
+
+
+@pytest.mark.parametrize("links", range(2, 13))
+def test_neighborhood_bound_closes_triangle_chain_gap(monkeypatch, links):
+    # the lower bound equals the value, so the kernel is asked once
+    assert kernel_ks(monkeypatch, gen(f"tchain:{links}")) == (links + 1, [links + 1])
+
+
+def test_neighborhood_bound_lifts_clique_star(monkeypatch):
+    value, ks = kernel_ks(monkeypatch, gen("cliquestar:4x3"))
+    assert ks[0] == 6 and ks[-1] == value
 
 
 @given(graphs(max_n=5), graphs(max_n=5))
