@@ -1,25 +1,20 @@
-"""Build script: compiles the optional search kernel.
+"""Build script: compiles the optional search kernel from the tracked C.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time); building it just makes the exact solver much faster.
+``_kernel.c`` is generated from ``_kernel.pyx`` by ``cython -3`` and
+committed, so building needs only a C compiler.  The extension is
+optional: without a working compiler the build still succeeds and the
+package uses its pure-Python kernel.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "domchrom._kernel",
-                ["src/domchrom/_kernel.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "domchrom._kernel",
+            ["src/domchrom/_kernel.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

@@ -10,7 +10,7 @@ the audit expects instead.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import NoPredictionError
 from .families import FamilySpec, generate
@@ -159,20 +159,5 @@ def report_to_dict(report: AuditReport, *, version: str, solver_cap: int,
         "budget_ms": budget_ms,
         "ok": report.ok,
         "summary": report.summary,
-        "instances": [
-            {
-                "spec": r.spec,
-                "kind": r.kind,
-                "status": r.status,
-                "predicted": r.predicted,
-                "expected": r.expected,
-                "errata": r.errata,
-                "solver": r.solver,
-                "oracle": r.oracle,
-                "agree": r.agree,
-                "skip": r.skip,
-                "note": r.note,
-            }
-            for r in report.rows
-        ],
+        "instances": [asdict(r) for r in report.rows],
     }

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .audit import DEFAULT_SOLVER_CAP, audit_specs, report_to_dict
@@ -21,7 +22,7 @@ from .families import generate, parse_family, parse_family_range
 from .graph import Graph, format_edge_list, parse_dimacs, parse_edge_list
 from .invariants import chromatic_number, domination_number, total_domination_number
 from .perturb import dom_bondage, dom_stability
-from .solver import available_backends, dom_chromatic
+from .solver import dom_chromatic
 
 
 def _load_target(target: str, fmt: str | None) -> Graph:
@@ -57,7 +58,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_target(args.target, args.format)
     if args.invariant is None:
-        k, coloring = dom_chromatic(g, backend=args.backend)
+        k, coloring = dom_chromatic(g)
         classes = coloring.classes()
         payload = {
             "k": k,
@@ -89,7 +90,6 @@ def _cmd_audit(args) -> int:
         solver_cap=args.solver_cap,
         oracle_cap=args.oracle_cap,
         budget_ms=args.budget,
-        backend=args.backend,
     )
     payload = report_to_dict(
         report,
@@ -105,18 +105,10 @@ def _cmd_audit(args) -> int:
 def _cmd_perturb(args) -> int:
     g = _load_target(args.target, args.format)
     if args.mode == "vertex":
-        res = dom_stability(g, budget_ms=args.budget, backend=args.backend)
+        res = dom_stability(g, budget_ms=args.budget)
     else:
-        res = dom_bondage(g, budget_ms=args.budget, backend=args.backend)
-    payload = {
-        "mode": res.mode,
-        "found": res.found,
-        "before": res.before,
-        "size": res.size,
-        "witness": [list(w) if isinstance(w, tuple) else w for w in res.witness],
-        "after": res.after,
-    }
-    _emit(payload, args.out)
+        res = dom_bondage(g, budget_ms=args.budget)
+    _emit(asdict(res), args.out)
     return 0
 
 
@@ -146,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="classical invariant instead of the dominated chromatic number",
     )
     p_solve.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
-    p_solve.add_argument("--backend", choices=list(available_backends()), default=None)
     p_solve.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_solve.set_defaults(fn=_cmd_solve)
 
@@ -159,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--solver-cap", type=int, default=DEFAULT_SOLVER_CAP)
     p_audit.add_argument("--oracle-cap", type=int, default=10)
     p_audit.add_argument("--budget", type=int, default=None, help="total budget in ms")
-    p_audit.add_argument("--backend", choices=list(available_backends()), default=None)
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_pert = sub.add_parser("perturb", help="minimum vertex/edge removals changing the value")
@@ -167,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--mode", choices=["vertex", "edge"], required=True)
     p_pert.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
     p_pert.add_argument("--budget", type=int, default=None, help="sweep budget in ms")
-    p_pert.add_argument("--backend", choices=list(available_backends()), default=None)
     p_pert.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_pert.set_defaults(fn=_cmd_perturb)
 

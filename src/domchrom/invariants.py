@@ -43,23 +43,35 @@ def greedy_clique(adj: list[int] | tuple[int, ...]) -> list[int]:
 def independence_number(adj: list[int] | tuple[int, ...], mask: int) -> int:
     """Exact independence number of the subgraph induced by ``mask``.
 
-    Branches on the lowest vertex: take it and drop its neighbors, or
-    skip it.  A vertex with at most one neighbor ``u`` left in ``mask``
-    is always taken: a largest independent set without it contains ``u``,
-    and swapping ``u`` for it keeps the set independent.
+    The lowest vertex with at most one neighbor ``u`` left in ``mask`` is
+    always taken: a largest independent set without it contains ``u``,
+    and swapping ``u`` for it keeps the set independent.  When every
+    vertex has two or more, the search branches on one of highest degree
+    in ``mask`` (lowest label on ties): take it and drop its neighbors, or
+    skip it.  Labels only break ties, so the cost hardly depends on how
+    the vertices are labelled.
     """
     size = 0
     while mask:
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        nbrs = adj[v] & rest
-        if nbrs & (nbrs - 1):
+        best = best_deg = -1
+        m = mask
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            deg = (adj[v] & mask).bit_count()
+            if deg <= 1:
+                break
+            if deg > best_deg:
+                best, best_deg = v, deg
+            m ^= low
+        else:
+            rest = mask & ~(1 << best)
             return size + max(
-                1 + independence_number(adj, rest & ~nbrs),
+                1 + independence_number(adj, rest & ~adj[best]),
                 independence_number(adj, rest),
             )
         size += 1
-        mask = rest & ~nbrs
+        mask &= ~(adj[v] | 1 << v)
     return size
 
 

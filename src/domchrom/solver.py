@@ -8,7 +8,8 @@ class of its own; this convention makes the minimum additive over
 connected components and is load-bearing for the perturbation results.
 
 Two interchangeable search kernels exist: a compiled extension and a pure
-Python fallback.  The compiled one is picked at import time when present.
+Python fallback.  The compiled one is used when it imports and the
+component has at most 64 vertices; the Python one otherwise.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ DEFAULT_BACKEND = "compiled" if _kernel is not None else "python"
 def available_backends() -> tuple[str, ...]:
     """Names of the search kernels usable in this interpreter."""
     return tuple(sorted(_BACKENDS))
-
-
-def has_compiled_kernel() -> bool:
-    return _kernel is not None
 
 
 def _kernel_for(backend: str | None):
@@ -241,7 +238,7 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
     return coloring.k, coloring
 
 
-def exists_k(g: Graph, k: int, *, backend: str | None = None) -> DomColoring | None:
+def exists_k(g: Graph, k: int) -> DomColoring | None:
     """A verified dominated coloring with at most ``k`` classes, or ``None``.
 
     Splitting any class of two or more vertices preserves validity, so a
@@ -250,7 +247,7 @@ def exists_k(g: Graph, k: int, *, backend: str | None = None) -> DomColoring | N
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    best, coloring = dom_chromatic(g, backend=backend)
+    best, coloring = dom_chromatic(g)
     return coloring if best <= k else None
 
 

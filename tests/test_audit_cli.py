@@ -181,12 +181,6 @@ def test_cli_solve_dimacs_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["k"] == 3
 
 
-def test_cli_solve_backend_flag(capsys):
-    code = main(["solve", "--backend", "python", "path:5"])
-    out, _ = capsys.readouterr()
-    assert code == 0 and json.loads(out)["k"] == 3
-
-
 def test_cli_unknown_family_is_usage_error(capsys):
     code = main(["solve", "gadget:9"])
     _, err = capsys.readouterr()

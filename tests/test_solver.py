@@ -1,6 +1,8 @@
 """Dominated-coloring verifier, decision layer, exact solver and oracle."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -155,13 +157,35 @@ def test_dom_chromatic_is_deterministic():
 
 def test_backends_agree_and_match_certificates():
     assert "python" in dc.available_backends()
-    for g in random_corpus(51, 40, n_lo=1, n_hi=8):
+    cases = [(g, None) for g in random_corpus(51, 40, n_lo=1, n_hi=8)]
+    # around the compiled kernel's 64-vertex limit: at 65 and 66 vertices
+    # the compiled backend hands the component to the Python kernel
+    boundary = {"path:63": 32, "path:64": 32, "path:65": 33, "cycle:66": 34}
+    cases += [(gen(text), value) for text, value in boundary.items()]
+    for g, expected in cases:
         results = {
             name: dc.dom_chromatic(g, backend=name) for name in dc.available_backends()
         }
         values = {k for k, _ in results.values()}
         certs = {col.assignment for _, col in results.values()}
         assert len(values) == 1 and len(certs) == 1
+        assert expected is None or values == {expected}
+
+
+def test_tracked_kernel_c_echoes_every_pyx_line():
+    # Cython copies each source line into the generated C as a comment, so
+    # a .pyx line missing from the .c means the .c was not regenerated.
+    # Bare cdef array declarations emit no code and are not always echoed.
+    src = Path(__file__).resolve().parents[1] / "src" / "domchrom"
+    c_text = (src / "_kernel.c").read_text()
+    missing = [
+        line
+        for line in (src / "_kernel.pyx").read_text().splitlines()
+        if line.strip()
+        and line not in c_text
+        and not re.fullmatch(r"\s*cdef \w+ \w+\[\d+\]", line)
+    ]
+    assert missing == []
 
 
 def test_unknown_backend_rejected():
