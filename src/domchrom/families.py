@@ -19,6 +19,7 @@ testable.  Canonical vertex numbering per family:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -92,30 +93,37 @@ def spec(family: Family | str, *params: int) -> FamilySpec:
     return FamilySpec(family, tuple(params))
 
 
-def parse_family(text: str) -> FamilySpec:
-    """Parse a spec string such as ``path:7``, ``grid:3x5`` or
-    ``circulant:12:1,3``."""
+def _split_spec(text: str) -> tuple[Family, list[str], tuple[int, ...]]:
+    """Split a spec into its family, its numeric slots (one, or two joined
+    by 'x') and the parsed circulant connection list (empty otherwise)."""
     head, _, rest = text.partition(":")
     if head not in _BY_TOKEN:
         raise InvalidParameterError(f"unknown family: {head!r}")
     family = _BY_TOKEN[head]
     if not rest:
         raise InvalidParameterError(f"missing parameters in spec: {text!r}")
+    if family is Family.CIRCULANT:
+        n_text, _, conn_text = rest.partition(":")
+        try:
+            conn = tuple(int(tok) for tok in conn_text.split(","))
+        except ValueError:
+            raise InvalidParameterError(f"bad parameters in spec: {text!r}") from None
+        return family, [n_text], conn
+    if family in _TWO_PARAM:
+        a, _, b = rest.partition("x")
+        return family, [a, b], ()
+    return family, [rest], ()
+
+
+def parse_family(text: str) -> FamilySpec:
+    """Parse a spec string such as ``path:7``, ``grid:3x5`` or
+    ``circulant:12:1,3``."""
+    family, slots, conn = _split_spec(text)
     try:
-        if family is Family.CIRCULANT:
-            n_text, _, conn_text = rest.partition(":")
-            conn = [int(tok) for tok in conn_text.split(",")] if conn_text else []
-            if not conn:
-                raise ValueError
-            params = (int(n_text), *conn)
-        elif family in _TWO_PARAM:
-            a, _, b = rest.partition("x")
-            params = (int(a), int(b))
-        else:
-            params = (int(rest),)
+        params = tuple(int(slot) for slot in slots)
     except ValueError:
         raise InvalidParameterError(f"bad parameters in spec: {text!r}") from None
-    return FamilySpec(family, params)
+    return FamilySpec(family, params + conn)
 
 
 def parse_family_range(text: str) -> list[FamilySpec]:
@@ -128,31 +136,18 @@ def parse_family_range(text: str) -> list[FamilySpec]:
     def expand(token: str) -> list[int]:
         lo, sep, hi = token.partition("..")
         try:
-            if sep:
-                lo_i, hi_i = int(lo), int(hi)
-                if hi_i < lo_i:
-                    raise ValueError
-                return list(range(lo_i, hi_i + 1))
-            return [int(token)]
+            values = list(range(int(lo), int(hi) + 1)) if sep else [int(token)]
         except ValueError:
-            raise InvalidParameterError(f"bad range token: {token!r}") from None
+            values = []
+        if not values:
+            raise InvalidParameterError(f"bad range token: {token!r}")
+        return values
 
-    head, _, rest = text.partition(":")
-    if head not in _BY_TOKEN:
-        raise InvalidParameterError(f"unknown family: {head!r}")
-    family = _BY_TOKEN[head]
-    if not rest:
-        raise InvalidParameterError(f"missing parameters in spec: {text!r}")
-    if family is Family.CIRCULANT:
-        n_text, _, conn_text = rest.partition(":")
-        conn = [int(tok) for tok in conn_text.split(",")] if conn_text else []
-        if not conn:
-            raise InvalidParameterError(f"bad parameters in spec: {text!r}")
-        return [spec(family, n, *conn) for n in expand(n_text)]
-    if family in _TWO_PARAM:
-        a, _, b = rest.partition("x")
-        return [spec(family, m, n) for m in expand(a) for n in expand(b)]
-    return [spec(family, n) for n in expand(rest)]
+    family, slots, conn = _split_spec(text)
+    return [
+        FamilySpec(family, params + conn)
+        for params in itertools.product(*map(expand, slots))
+    ]
 
 
 # -- individual builders ---------------------------------------------------

@@ -286,6 +286,16 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed_graph(n: int, edges: list[Edge]) -> Graph:
+    """``make_graph`` whose bad input, absurd sizes too, is a format error."""
+    try:
+        return make_graph(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
+    except MemoryError:
+        raise GraphFormatError(f"vertex count too large: {n}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m`` / ``u v`` edge-list format."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
@@ -309,10 +319,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line: {' '.join(row)}") from exc
         edges.append((u, v))
-    try:
-        return make_graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return _parsed_graph(n, edges)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -345,7 +352,4 @@ def parse_dimacs(text: str) -> Graph:
             raise GraphFormatError(f"unrecognized line: {line}")
     if n is None:
         raise GraphFormatError("missing problem line")
-    try:
-        return make_graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return _parsed_graph(n, edges)

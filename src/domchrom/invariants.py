@@ -1,11 +1,13 @@
 """Exact chromatic, domination and total domination numbers.
 
-These are the classical parameters the library's bounds reference.  All
-three use iterative deepening with a greedy upper bound first; at desk
-scale (around 20 vertices) clarity and verifiability beat sophistication.
-Every result carries a polynomial-time-checkable witness.  The bitmask
-independence number next to ``greedy_clique`` serves the neighborhood
-bound of the solver and of ``sandwich``.
+These are the classical parameters the library's bounds reference.  The
+chromatic number deepens from a greedy clique up to a greedy coloring;
+both domination numbers are one exact set-cover search on the symmetric
+neighborhood bitmasks.  At desk scale (around 20 vertices) clarity and
+verifiability beat sophistication.  Every result carries a
+polynomial-time-checkable witness.  The bitmask independence number next
+to ``greedy_clique`` serves the neighborhood bound of the solver and of
+``sandwich``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UndefinedInvariantError
-from .graph import Graph
+from .graph import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -154,69 +156,47 @@ def chromatic_number(g: Graph) -> InvariantResult:
 # -- domination --------------------------------------------------------------
 
 
-def _min_cover(masks: list[int], n: int, ub: int) -> tuple[int, ...]:
-    """Smallest vertex subset whose ``masks`` union covers all n bits.
+def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest vertex subset whose ``masks`` union covers every vertex.
 
-    Exact branch and bound: branch on the uncovered element with the fewest
-    candidate coverers, prune with a covers-per-pick bound.  Deterministic
-    (fixed branching order), so witnesses are reproducible.
+    The masks are symmetric (``v`` covers ``e`` exactly when ``e`` covers
+    ``v``), so ``masks[e]`` lists the coverers of ``e``.  Exact branch and
+    bound: branch on the uncovered vertex with the fewest coverers, try
+    them in ascending order, and prune with a covers-per-pick bound.  The
+    search starts from the cover by every vertex; the witness is the first
+    minimum cover in depth-first order, so it is reproducible.
     """
+    n = len(masks)
     full = (1 << n) - 1
-    coverers = [
-        [v for v in range(n) if masks[v] >> e & 1] for e in range(n)
-    ]
-    if any(not c for c in coverers):
-        raise AssertionError("uncoverable element escaped the greedy check")
-    max_gain = max(m.bit_count() for m in masks)
-    best_size = ub + 1
-    best_set: tuple[int, ...] | None = None
+    sizes = [m.bit_count() for m in masks]
+    max_gain = max(sizes)
+    best = tuple(range(n))
     chosen: list[int] = []
 
     def rec(covered: int) -> None:
-        nonlocal best_size, best_set
+        nonlocal best
         if covered == full:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                best_set = tuple(sorted(chosen))
+            if len(chosen) < len(best):
+                best = tuple(sorted(chosen))
             return
-        rem = (full & ~covered).bit_count()
-        if len(chosen) + -(-rem // max_gain) >= best_size:
+        uncovered = full & ~covered
+        if len(chosen) + -(-uncovered.bit_count() // max_gain) >= len(best):
             return
-        target = min(
-            (e for e in range(n) if not covered >> e & 1),
-            key=lambda e: len(coverers[e]),
-        )
-        for v in coverers[target]:
+        target = min(bits(uncovered), key=sizes.__getitem__)
+        for v in bits(masks[target]):
             chosen.append(v)
             rec(covered | masks[v])
             chosen.pop()
 
     rec(0)
-    assert best_set is not None
-    return best_set
-
-
-def _greedy_cover_size(masks: list[int], n: int) -> int:
-    full = (1 << n) - 1
-    covered = 0
-    size = 0
-    while covered != full:
-        best = max(range(n), key=lambda v: ((masks[v] & ~covered).bit_count(), -v))
-        gain = masks[best] & ~covered
-        if not gain:
-            raise UndefinedInvariantError("graph cannot be covered")
-        covered |= gain
-        size += 1
-    return size
+    return best
 
 
 def domination_number(g: Graph) -> InvariantResult:
     """Minimum size of a set whose closed neighborhoods cover the graph."""
     if g.n == 0:
         raise UndefinedInvariantError("domination number of the empty graph is undefined")
-    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
-    ub = _greedy_cover_size(closed, g.n)
-    witness = _min_cover(closed, g.n, ub)
+    witness = _min_cover([g.adj[v] | (1 << v) for v in range(g.n)])
     return InvariantResult(len(witness), witness)
 
 
@@ -233,7 +213,5 @@ def total_domination_number(g: Graph) -> InvariantResult:
         raise UndefinedInvariantError(
             "total domination number is undefined with isolated vertices"
         )
-    open_masks = list(g.adj)
-    ub = _greedy_cover_size(open_masks, g.n)
-    witness = _min_cover(open_masks, g.n, ub)
+    witness = _min_cover(g.adj)
     return InvariantResult(len(witness), witness)

@@ -52,28 +52,15 @@ class _Deadline:
             raise BudgetExceededError("perturbation sweep exceeded the time budget")
 
 
-def _value_cache(backend):
-    cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def value(g: Graph) -> int:
-        key = (g.n, g.adj)
-        if key not in cache:
-            cache[key] = dom_chromatic(g, backend=backend)[0]
-        return cache[key]
-
-    return value
-
-
 def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> PerturbationResult:
     """Try removing every subset of ``items``, smallest and lexicographically
     first, until the value changes."""
     deadline = _Deadline(budget_ms)
-    value = _value_cache(backend)
-    before = value(g)
+    before = dom_chromatic(g, backend=backend)[0]
     for s in range(1, len(items) + 1):
         for subset in combinations(items, s):
             deadline.check()
-            after = value(delete(g, subset))
+            after = dom_chromatic(delete(g, subset), backend=backend)[0]
             if after != before:
                 return PerturbationResult(
                     mode, True, before, size=s, witness=subset, after=after

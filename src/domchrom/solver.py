@@ -19,7 +19,7 @@ from typing import Mapping
 
 from . import _kernel_py
 from .errors import OracleCapError
-from .graph import Graph, components, induced
+from .graph import Graph, bits, components, induced
 from .invariants import (
     greedy_clique,
     max_neighborhood_independence,
@@ -98,8 +98,9 @@ class Violation:
 def verify(g: Graph, coloring: DomColoring) -> Violation | None:
     """Check a certificate against the graph; ``None`` means accepted.
 
-    Malformed certificates (wrong length, colors not dense ``1..k``) raise;
-    violations of properness or domination are reported, first one wins.
+    Malformed certificates (wrong length, colors not dense ``1..k``, a
+    dominator that is not a vertex) raise ``ValueError``; violations of
+    properness or domination are reported, first one wins.
     """
     assignment = coloring.assignment
     if len(assignment) != g.n:
@@ -107,6 +108,9 @@ def verify(g: Graph, coloring: DomColoring) -> Violation | None:
     k = max(assignment, default=0)
     if g.n and sorted(set(assignment)) != list(range(1, k + 1)):
         raise ValueError(f"colors are not dense 1..{k}")
+    for d in coloring.dominators.values():
+        if not 0 <= d < g.n:
+            raise ValueError(f"dominator {d} is not a vertex")
     for v, u in g.edges():
         if assignment[v] == assignment[u]:
             return Violation(
@@ -140,7 +144,7 @@ def verify(g: Graph, coloring: DomColoring) -> Violation | None:
 # -- exact solver ------------------------------------------------------------
 
 
-def _degeneracy_order(adj: list[int]) -> list[int]:
+def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     """Reverse degeneracy order (core first), ties broken by lowest index."""
     n = len(adj)
     alive = (1 << n) - 1
@@ -182,35 +186,20 @@ def _component_lower_bound(comp: Graph) -> int:
     return max(clique, neighborhood, gamma_t)
 
 
-def _solve_component(comp: Graph, kernel) -> tuple[int, list[int]]:
-    """Exact minimum for a connected isolate-free graph, with a coloring
-    in local labels (0-based)."""
-    order = _degeneracy_order(list(comp.adj))
-    local_adj = induced(comp, order).adj
-    for k in range(_component_lower_bound(comp), comp.n + 1):
-        found = kernel(local_adj, k)
-        if found is not None:
-            colors = [0] * comp.n
-            for i, v in enumerate(order):
-                colors[v] = found[i]
-            return max(found) + 1, colors
-    raise AssertionError("one color per vertex always succeeds")
-
-
-def _assemble(g: Graph, class_lists: list[list[int]], exempt: set[int]) -> DomColoring:
-    """Canonical certificate: classes renumbered 1..k by smallest member."""
-    class_lists = sorted(class_lists, key=min)
+def _assemble(g: Graph, classes: list[int]) -> DomColoring:
+    """Canonical certificate from class bitmasks: classes renumbered 1..k by
+    lowest member, each dominated by the lowest common neighbor of its
+    members.  Only an isolated singleton has no common neighbor; it is the
+    exempt class and gets no dominator."""
     assignment = [0] * g.n
     dominators = {}
-    for idx, members in enumerate(class_lists, start=1):
-        mask = 0
-        for v in members:
+    for idx, mask in enumerate(sorted(classes, key=lambda m: m & -m), start=1):
+        common = -1
+        for v in bits(mask):
             assignment[v] = idx
-            mask |= 1 << v
-        if len(members) == 1 and members[0] in exempt:
-            continue
-        d = next(v for v in range(g.n) if g.adj[v] & mask == mask)
-        dominators[idx] = d
+            common &= g.adj[v]
+        if common:
+            dominators[idx] = (common & -common).bit_length() - 1
     return DomColoring(tuple(assignment), dominators)
 
 
@@ -219,22 +208,29 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
 
     Classes cannot span components, so the minimum is computed per
     connected component and summed; isolated vertices add one exempt
-    singleton class each.  The empty graph has value 0.
+    singleton class each.  The kernel sees each component relabeled once,
+    in degeneracy order, and tries k upward from the component's lower
+    bound.  The empty graph has value 0.
     """
     kernel = _kernel_for(backend)
-    class_lists: list[list[int]] = []
-    exempt: set[int] = set()
+    classes: list[int] = []
     for comp, original in components(g):
         if comp.n == 1:
-            class_lists.append([original[0]])
-            exempt.add(original[0])
+            classes.append(1 << original[0])
             continue
-        _, colors = _solve_component(comp, kernel)
-        by_color: dict[int, list[int]] = {}
-        for local_v, c in enumerate(colors):
-            by_color.setdefault(c, []).append(original[local_v])
-        class_lists.extend(by_color.values())
-    coloring = _assemble(g, class_lists, exempt)
+        order = [original[v] for v in _degeneracy_order(comp.adj)]
+        local_adj = induced(g, order).adj
+        for k in range(_component_lower_bound(comp), comp.n + 1):
+            found = kernel(local_adj, k)
+            if found is not None:
+                break
+        else:
+            raise AssertionError("one color per vertex always succeeds")
+        masks = [0] * k
+        for v, c in zip(order, found):
+            masks[c] |= 1 << v
+        classes.extend(masks)
+    coloring = _assemble(g, classes)
     return coloring.k, coloring
 
 

@@ -195,6 +195,16 @@ def test_cli_malformed_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "fmt,doc",
+    [("edgelist", "1000000000000000 0\n"), ("dimacs", "p edge 1000000000000000 0\n")],
+)
+def test_cli_absurd_vertex_count_is_usage_error(fmt, doc, monkeypatch, capsys):
+    code, out, err = run_cli(["solve", "--format", fmt, "-"], doc, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: vertex count too large: 1000000000000000\n"
+
+
 def test_cli_directory_target_is_usage_error(tmp_path, capsys):
     code = main(["solve", str(tmp_path)])
     _, err = capsys.readouterr()

@@ -58,6 +58,38 @@ def test_parse_range_plain_value():
     assert [str(s) for s in dc.parse_family_range("path:7")] == ["path:7"]
 
 
+@pytest.mark.parametrize("parse", [dc.parse_family, dc.parse_family_range])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("moebius:7", "unknown family"),
+        ("path", "missing parameters in spec"),
+        ("circulant:8", "bad parameters in spec"),
+        ("circulant:8:1,x", "bad parameters in spec"),
+        ("circulant:6..8:1,x", "bad parameters in spec"),
+        ("circulant:8:1,,3", "bad parameters in spec"),
+    ],
+)
+def test_both_parsers_reject_malformed_specs(parse, text, message):
+    with pytest.raises(dc.InvalidParameterError, match=message):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text,single,ranged",
+    [
+        ("grid:3", "bad parameters in spec", "bad range token"),
+        ("circulant:x:1", "bad parameters in spec", "bad range token"),
+        ("cycle:6..4", "bad parameters in spec", "bad range token"),
+    ],
+)
+def test_malformed_slots_name_the_parser_grammar(text, single, ranged):
+    with pytest.raises(dc.InvalidParameterError, match=single):
+        dc.parse_family(text)
+    with pytest.raises(dc.InvalidParameterError, match=ranged):
+        dc.parse_family_range(text)
+
+
 # -- generators -------------------------------------------------------------------
 
 

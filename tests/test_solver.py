@@ -82,6 +82,14 @@ def test_verify_raises_on_partial_assignment():
         dc.verify(g, DomColoring((1, 2), {1: 1, 2: 0}))
 
 
+@pytest.mark.parametrize("dominator", [-1, 3])
+def test_verify_raises_on_dominator_outside_the_graph(dominator):
+    # path 0-2-1: with -1 read as an index, g.adj[-1] would be vertex 2
+    g = dc.make_graph(3, [(0, 2), (2, 1)])
+    with pytest.raises(ValueError, match="not a vertex"):
+        dc.verify(g, DomColoring((1, 1, 2), {1: dominator, 2: 0}))
+
+
 # -- exists_k ---------------------------------------------------------------------
 
 
@@ -133,6 +141,45 @@ def test_dom_chromatic_values(text, value):
     k, col = dc.dom_chromatic(g)
     assert k == value
     assert dc.verify(g, col) is None
+
+
+# Canonical outputs: classes numbered by lowest member, each dominated by the
+# lowest common neighbor of its members; γ/γ_t witnesses are the first minimum
+# cover in the set-cover search order.  A faster path must keep these bytes.
+_MIXED = dc.make_graph(8, [(0, 5), (5, 2), (2, 7), (1, 4), (4, 6), (6, 1)])
+
+
+@pytest.mark.parametrize(
+    "g,assignment,dominators",
+    [
+        (gen("grid:3x5"), (1, 2, 3, 4, 3, 2, 1, 4, 5, 4, 1, 2, 5, 4, 5),
+         {1: 5, 2: 6, 3: 3, 4: 8, 5: 13}),
+        (gen("circulant:12:1,3"), (1, 2, 1, 2, 3, 4, 3, 4, 3, 4, 3, 4),
+         {1: 1, 2: 0, 3: 7, 4: 8}),
+        (gen("wheel:7"), (1, 2, 3, 2, 3, 2, 3, 4), {1: 1, 2: 7, 3: 7, 4: 0}),
+        # path 0-5-2-7, triangle 1-4-6, isolated vertex 3
+        (_MIXED, (1, 2, 1, 3, 4, 5, 6, 5), {1: 5, 2: 4, 4: 1, 5: 2, 6: 1}),
+    ],
+)
+def test_dom_chromatic_canonical_certificate(g, assignment, dominators):
+    k, col = dc.dom_chromatic(g)
+    assert (k, col.assignment, dict(col.dominators)) == (
+        max(assignment), assignment, dominators,
+    )
+
+
+@pytest.mark.parametrize(
+    "text,gamma,gamma_t",
+    [
+        ("grid:3x5", (2, 5, 9, 12), (1, 6, 8, 9, 11)),
+        ("circulant:12:1,3", (0, 2, 7), (0, 1, 4, 5)),
+        ("wheel:7", (7,), (1, 7)),
+    ],
+)
+def test_domination_witnesses_are_canonical(text, gamma, gamma_t):
+    g = gen(text)
+    assert dc.domination_number(g) == dc.InvariantResult(len(gamma), gamma)
+    assert dc.total_domination_number(g) == dc.InvariantResult(len(gamma_t), gamma_t)
 
 
 def test_isolated_vertices_each_take_a_color():
