@@ -1,9 +1,8 @@
 """Build script: compiles the optional search kernel from the tracked C.
 
-``_kernel.c`` is generated from ``_kernel.pyx`` by ``cython -3`` and
-committed, so building needs only a C compiler.  The extension is
-optional: without a working compiler the build still succeeds and the
-package uses its pure-Python kernel.
+``_kernel.c`` is a hand-written CPython extension, so building needs only
+a C compiler.  The extension is optional: without a working compiler the
+build still succeeds and the package uses its pure-Python kernel.
 """
 
 from setuptools import Extension, setup

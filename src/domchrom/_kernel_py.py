@@ -1,13 +1,11 @@
 """Pure-Python search kernel for dominated k-colorings.
 
 Fallback used when the compiled extension is unavailable.  The search must
-stay behaviorally identical to ``_kernel.pyx``: same vertex order, same
-class order, same first solution.
+stay behaviorally identical to ``_kernel.c``: same vertex order, same class
+order, same first solution.
 """
 
 from __future__ import annotations
-
-BACKEND_NAME = "python"
 
 
 def find_coloring(adj: list[int], k: int) -> list[int] | None:

@@ -332,6 +332,8 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphFormatError("duplicate problem line")
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphFormatError(f"bad problem line: {line}")
             try:

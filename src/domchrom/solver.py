@@ -99,8 +99,9 @@ def verify(g: Graph, coloring: DomColoring) -> Violation | None:
     """Check a certificate against the graph; ``None`` means accepted.
 
     Malformed certificates (wrong length, colors not dense ``1..k``, a
-    dominator that is not a vertex) raise ``ValueError``; violations of
-    properness or domination are reported, first one wins.
+    dominator that is not a vertex or whose color has no class) raise
+    ``ValueError``; violations of properness or domination are reported,
+    first one wins.
     """
     assignment = coloring.assignment
     if len(assignment) != g.n:
@@ -108,9 +109,11 @@ def verify(g: Graph, coloring: DomColoring) -> Violation | None:
     k = max(assignment, default=0)
     if g.n and sorted(set(assignment)) != list(range(1, k + 1)):
         raise ValueError(f"colors are not dense 1..{k}")
-    for d in coloring.dominators.values():
+    for c, d in coloring.dominators.items():
         if not 0 <= d < g.n:
             raise ValueError(f"dominator {d} is not a vertex")
+        if not 1 <= c <= k:
+            raise ValueError(f"dominator {d} is given for color {c}, which has no class")
     for v, u in g.edges():
         if assignment[v] == assignment[u]:
             return Violation(

@@ -205,6 +205,13 @@ def test_cli_absurd_vertex_count_is_usage_error(fmt, doc, monkeypatch, capsys):
     assert err == "error: vertex count too large: 1000000000000000\n"
 
 
+def test_cli_second_dimacs_problem_line_is_usage_error(monkeypatch, capsys):
+    doc = "p edge 3 1\ne 1 2\np edge 2 0\n"
+    code, out, err = run_cli(["solve", "--format", "dimacs", "-"], doc, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: duplicate problem line\n"
+
+
 def test_cli_directory_target_is_usage_error(tmp_path, capsys):
     code = main(["solve", str(tmp_path)])
     _, err = capsys.readouterr()

@@ -318,5 +318,10 @@ def test_parse_dimacs_requires_problem_line():
         dc.parse_dimacs("e 1 2\n")
 
 
+def test_parse_dimacs_rejects_second_problem_line():
+    with pytest.raises(dc.GraphFormatError, match="duplicate problem line"):
+        dc.parse_dimacs("p edge 3 1\ne 1 2\np edge 2 0\n")
+
+
 def test_bits_helper():
     assert bits(0b10110) == [1, 2, 4]

@@ -1,7 +1,13 @@
 """Dominated-coloring verifier, decision layer, exact solver and oracle."""
 
+import importlib.util
 import math
-import re
+import os
+import random
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -12,7 +18,7 @@ import domchrom as dc
 from domchrom import _kernel_py
 from domchrom.invariants import independence_number, max_neighborhood_independence
 from domchrom.solver import DomColoring
-from corpus import random_corpus
+from corpus import random_corpus, random_graph
 
 
 def gen(text):
@@ -88,6 +94,13 @@ def test_verify_raises_on_dominator_outside_the_graph(dominator):
     g = dc.make_graph(3, [(0, 2), (2, 1)])
     with pytest.raises(ValueError, match="not a vertex"):
         dc.verify(g, DomColoring((1, 1, 2), {1: dominator, 2: 0}))
+
+
+@pytest.mark.parametrize("color", [0, 9])
+def test_verify_raises_on_dominator_for_a_color_without_class(color):
+    g = gen("path:3")
+    with pytest.raises(ValueError, match="has no class"):
+        dc.verify(g, DomColoring((1, 2, 1), {1: 1, 2: 0, color: 2}))
 
 
 # -- exists_k ---------------------------------------------------------------------
@@ -219,20 +232,51 @@ def test_backends_agree_and_match_certificates():
         assert expected is None or values == {expected}
 
 
-def test_tracked_kernel_c_echoes_every_pyx_line():
-    # Cython copies each source line into the generated C as a comment, so
-    # a .pyx line missing from the .c means the .c was not regenerated.
-    # Bare cdef array declarations emit no code and are not always echoed.
-    src = Path(__file__).resolve().parents[1] / "src" / "domchrom"
-    c_text = (src / "_kernel.c").read_text()
-    missing = [
-        line
-        for line in (src / "_kernel.pyx").read_text().splitlines()
-        if line.strip()
-        and line not in c_text
-        and not re.fullmatch(r"\s*cdef \w+ \w+\[\d+\]", line)
+@pytest.fixture(scope="module")
+def built_kernel(tmp_path_factory):
+    """``_kernel.c`` built out of tree by ``setup.py build_ext``, imported."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path_factory.mktemp("kernel")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+    )
+    built = list((out / "lib" / "domchrom").glob("_kernel.*"))
+    assert build.returncode == 0 and len(built) == 1, build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("domchrom._kernel", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compiled_kernel_matches_python_kernel(built_kernel):
+    rng = random.Random(2019)
+    cases = [
+        (random_graph(rng, n, p).adj, k)
+        for n in range(23)
+        for p in (0.2, 0.35, 0.5, 0.65, 0.8)
+        for k in range(-1, n + 2)
     ]
-    assert missing == []
+    # 64 vertices, whose rows reach bit 63.  Below the value only k <= 1,
+    # which fails at once: at k = value - 1 the Python kernel can take minutes
+    for text in ("path:64", "cycle:64", "circulant:64:1,3", "grid:8x8"):
+        g = gen(text)
+        value = dc.dom_chromatic(g)[0]
+        cases += [(g.adj, k) for k in (-1, 0, 1, value, value + 1, 64, 65)]
+    for adj, k in cases:
+        assert built_kernel.find_coloring(adj, k) == _kernel_py.find_coloring(adj, k)
+
+
+def test_compiled_kernel_rejects_what_it_cannot_represent(built_kernel):
+    with pytest.raises(ValueError, match="limited to 64 vertices"):
+        built_kernel.find_coloring([0] * 65, 1)
+    with pytest.raises(OverflowError):
+        built_kernel.find_coloring([2, -1], 2)
+    with pytest.raises(TypeError):
+        built_kernel.find_coloring([2, "1"], 2)
 
 
 def test_unknown_backend_rejected():
