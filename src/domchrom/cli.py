@@ -40,6 +40,18 @@ def _load_target(target: str, fmt: str | None) -> Graph:
     return generate(parse_family(target))
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for caps and budgets: a negative value would skip or
+    fail every instance, so it is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {value}")
+    return value
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -147,16 +159,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="family range spec, e.g. cycle:4..12 (repeatable)",
     )
     p_audit.add_argument("--out", default=None, help="write the JSON report here")
-    p_audit.add_argument("--solver-cap", type=int, default=DEFAULT_SOLVER_CAP)
-    p_audit.add_argument("--oracle-cap", type=int, default=10)
-    p_audit.add_argument("--budget", type=int, default=None, help="total budget in ms")
+    p_audit.add_argument(
+        "--solver-cap", type=_non_negative_int, default=DEFAULT_SOLVER_CAP
+    )
+    p_audit.add_argument("--oracle-cap", type=_non_negative_int, default=10)
+    p_audit.add_argument(
+        "--budget", type=_non_negative_int, default=None, help="total budget in ms"
+    )
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_pert = sub.add_parser("perturb", help="minimum vertex/edge removals changing the value")
     p_pert.add_argument("target", help="family spec, file path, or '-' for stdin")
     p_pert.add_argument("--mode", choices=["vertex", "edge"], required=True)
     p_pert.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
-    p_pert.add_argument("--budget", type=int, default=None, help="sweep budget in ms")
+    p_pert.add_argument(
+        "--budget", type=_non_negative_int, default=None, help="sweep budget in ms"
+    )
     p_pert.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_pert.set_defaults(fn=_cmd_perturb)
 

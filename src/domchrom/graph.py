@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError
 
@@ -122,6 +122,141 @@ def induced(g: Graph, vertices: Sequence[int]) -> Graph:
             mask |= 1 << pos[u]
         adj.append(mask)
     return Graph(len(adj), tuple(adj))
+
+
+# -- symmetry -------------------------------------------------------------
+
+
+def _no_check() -> None:
+    pass
+
+
+def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Coarsest equitable refinement of the ordered partition ``cells``
+    (bitmasks), splitting by neighbor counts into each splitter in turn.
+
+    A split cell keeps its place, its fragments ordered by count, so the
+    result depends on the partition's order and never on labels: an
+    automorphism maps the refinement of a partition to the refinement of
+    its image.
+    """
+    queue = list(splitters)
+    for w in queue:
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                by_count: dict[int, int] = {}
+                m = cell
+                while m:
+                    low = m & -m
+                    c = (adj[low.bit_length() - 1] & w).bit_count()
+                    by_count[c] = by_count.get(c, 0) | low
+                    m ^= low
+                if len(by_count) > 1:
+                    fragments = [by_count[c] for c in sorted(by_count)]
+                    out.extend(fragments)
+                    queue.extend(fragments)
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def _individualize(adj: Sequence[int], cells: list[int], i: int, v: int) -> list[int]:
+    """Split ``v`` off cell ``i`` as a singleton placed before the rest, then
+    refine.  The old partition was equitable, so ``{v}`` is the only
+    splitter needed."""
+    single = 1 << v
+    return _refine(adj, cells[:i] + [single, cells[i] ^ single] + cells[i + 1:], [single])
+
+
+def _target(cells: list[int]) -> int:
+    """Index of the first non-singleton cell, or -1 for a discrete partition."""
+    for i, cell in enumerate(cells):
+        if cell & (cell - 1):
+            return i
+    return -1
+
+
+def automorphism_generators(
+    adj: Sequence[int], check: Callable[[], None] = _no_check
+) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of the graph with bitmask rows
+    ``adj``, each as a tuple ``p`` with ``p[v]`` the image of ``v``.
+
+    Individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): the first path of the search tree individualizes
+    the lowest vertex of the first non-singleton cell until the partition is
+    discrete.  Then, from the deepest level up, every vertex ``w`` of that
+    level's cell that is not yet in the orbit of the path's vertex ``v``
+    (under the generators found so far, which all fix the path above) gets a
+    search below it for a leaf whose labeling maps the first leaf's onto an
+    automorphism.  Such a leaf exists exactly when some automorphism fixing
+    the path above sends ``v`` to ``w``, so the generators found at each
+    level extend those below to the whole pointwise stabilizer, and at the
+    root to the whole group.  A ``w`` whose search fails rules out its whole
+    orbit.  Subtrees are pruned where the cell sizes differ from the first
+    path's.  ``check`` runs at every search node, so a caller can bound the
+    work by raising from it.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    path = [_refine(adj, [full] if n else [], [full])]
+    chosen = []
+    while (i := _target(path[-1])) >= 0:
+        check()
+        v = (path[-1][i] & -path[-1][i]).bit_length() - 1
+        chosen.append((i, v))
+        path.append(_individualize(adj, path[-1], i, v))
+    first_leaf = [cell.bit_length() - 1 for cell in path[-1]]
+    shapes = [[cell.bit_count() for cell in cells] for cells in path]
+
+    def leaf_automorphism(cells: list[int], depth: int) -> tuple[int, ...] | None:
+        check()
+        if [cell.bit_count() for cell in cells] != shapes[depth]:
+            return None
+        i = _target(cells)
+        if i < 0:
+            p = [0] * n
+            for a, cell in zip(first_leaf, cells):
+                p[a] = cell.bit_length() - 1
+            for v in range(n):
+                image = 0
+                for u in bits(adj[v]):
+                    image |= 1 << p[u]
+                if image != adj[p[v]]:
+                    return None
+            return tuple(p)
+        for x in bits(cells[i]):
+            found = leaf_automorphism(_individualize(adj, cells, i, x), depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    orbit = list(range(n))  # union-find forest over the orbits found so far
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    gens = []
+    for depth in range(len(chosen) - 1, -1, -1):
+        i, v = chosen[depth]
+        failed: list[int] = []
+        for w in bits(path[depth][i]):
+            rw = find(w)
+            if rw == find(v) or any(find(f) == rw for f in failed):
+                continue
+            p = leaf_automorphism(_individualize(adj, path[depth], i, w), depth + 1)
+            if p is None:
+                failed.append(w)
+                continue
+            gens.append(p)
+            for a, b in enumerate(p):
+                orbit[find(a)] = find(b)
+    return gens
 
 
 # -- deletion -------------------------------------------------------------

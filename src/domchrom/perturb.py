@@ -6,6 +6,17 @@ exhaustive minimal-cardinality sweeps in lexicographic order, so the
 reported witness is the first one of minimum size and runs are
 reproducible.  Deleted-vertex/edge witnesses are reported in the labels
 of the input graph.
+
+The sweep solves one subset per orbit of the graph's automorphism group.
+If an automorphism maps ``S`` to ``S'``, then ``G - S`` and ``G - S'`` are
+isomorphic and have the same value.  So at the first subset of an orbit in
+lexicographic order the sweep marks the whole orbit seen and solves that
+subset alone; every later member of the orbit has the value already
+found, and when that value is unchanged none of them can be the first
+witness.  The witness, and every field of the result, is therefore the one
+a plain sweep over all subsets would give.  Size 1 is swept before the
+automorphism group is computed, because a witness there ends the sweep
+sooner than the group search would.
 """
 
 from __future__ import annotations
@@ -16,7 +27,14 @@ from itertools import combinations
 
 from .errors import BudgetExceededError, NoPredictionError
 from .families import Family, FamilySpec
-from .graph import Graph, delete_edges, delete_vertices
+from .graph import (
+    Graph,
+    automorphism_generators,
+    bits,
+    delete_edges,
+    delete_vertices,
+    induced,
+)
 from .predictions import PROVED, SUSPECT, Prediction
 from .solver import dom_chromatic
 
@@ -52,14 +70,65 @@ class _Deadline:
             raise BudgetExceededError("perturbation sweep exceeded the time budget")
 
 
+def _item_permutations(g: Graph, mode: str, items, check) -> list[tuple[int, ...]]:
+    """Generators of Aut(g) acting on the indices of ``items``.
+
+    For edges the group is computed on the non-isolated vertices only:
+    isolated vertices lie on no edge, and a large set of them would make
+    the search long for nothing.  A generator that fixes every edge, such
+    as the swap of a ``K2`` component's ends, is dropped.
+    """
+    if mode == "vertex":
+        return automorphism_generators(g.adj, check)
+    live = [v for v in range(g.n) if g.adj[v]]
+    index = {e: i for i, e in enumerate(items)}
+    identity = tuple(range(len(items)))
+    perms = []
+    for p in automorphism_generators(induced(g, live).adj, check):
+        image = dict(zip(live, (live[q] for q in p)))
+        perm = tuple(index[tuple(sorted((image[u], image[v])))] for u, v in items)
+        if perm != identity:
+            perms.append(perm)
+    return perms
+
+
+def _orbit(mask: int, perms, check) -> set[int]:
+    """Orbit of the item subset ``mask`` under the group generated by
+    ``perms``, by graph search."""
+    seen = {mask}
+    frontier = [mask]
+    while frontier:
+        members = bits(frontier.pop())
+        check()
+        for p in perms:
+            image = 0
+            for i in members:
+                image |= 1 << p[i]
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
 def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> PerturbationResult:
-    """Try removing every subset of ``items``, smallest and lexicographically
-    first, until the value changes."""
+    """Try removing subsets of ``items``, smallest and lexicographically
+    first, one per automorphism orbit, until the value changes."""
     deadline = _Deadline(budget_ms)
     before = dom_chromatic(g, backend=backend)[0]
+    perms: list[tuple[int, ...]] = []
     for s in range(1, len(items) + 1):
-        for subset in combinations(items, s):
+        if s == 2:
+            perms = _item_permutations(g, mode, items, deadline.check)
+        seen: set[int] = set()
+        for combo in combinations(range(len(items)), s):
             deadline.check()
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            if mask in seen:
+                continue
+            seen |= _orbit(mask, perms, deadline.check)
+            subset = tuple(items[i] for i in combo)
             after = dom_chromatic(delete(g, subset), backend=backend)[0]
             if after != before:
                 return PerturbationResult(

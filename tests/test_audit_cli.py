@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,32 @@ def test_cli_budget_exceeded_is_usage_error(capsys):
     code = main(["perturb", "--mode", "vertex", "--budget", "0", "cycle:8"])
     _, err = capsys.readouterr()
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--family", "path:3", "--solver-cap", "-1"],
+        ["audit", "--family", "path:3", "--oracle-cap", "-3"],
+        ["perturb", "--mode", "vertex", "--budget", "-1", "path:4"],
+    ],
+)
+def test_cli_negative_cap_or_budget_is_usage_error(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "must be non-negative" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "domchrom", "gen", "path:3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and done.stdout == "3 2\n0 1\n1 2\n"
 
 
 def test_cli_audit_writes_report(tmp_path, capsys):

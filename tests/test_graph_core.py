@@ -1,11 +1,13 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom.graph import bits, make_graph
+from domchrom.graph import automorphism_generators, bits, make_graph
 
 
 @st.composite
@@ -274,6 +276,91 @@ def test_diameter_disconnected():
 @pytest.mark.parametrize("n,want", [(4, 2), (5, 2), (6, 3), (7, 3)])
 def test_diameter_cycle(n, want):
     assert dc.diameter(cycle(n)) == want
+
+
+# -- automorphisms ----------------------------------------------------------------
+
+
+def _group_order(gens, n):
+    """Size of the group the permutations ``gens`` generate, by closure."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for gen in gens:
+            q = tuple(gen[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def _is_automorphism(g, p):
+    return sorted(p) == list(range(g.n)) and all(
+        g.has_edge(p[u], p[v]) for u, v in g.edges()
+    )
+
+
+def _automorphism_graphs():
+    rng = random.Random(20141)
+    out = [
+        make_graph(0),
+        make_graph(1),
+        make_graph(7),
+        complete(7),
+        make_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # 2K3 + K1
+        make_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+        make_graph(7, [(1, 4), (2, 6)]),  # 2K2 + 3K1
+        # C3 on {0, 4, 5} and C4 on 1-2-3-6: the first candidate image of 0
+        # fails and a later one succeeds
+        make_graph(7, [(0, 4), (4, 5), (5, 0), (1, 2), (2, 3), (3, 6), (6, 1)]),
+        dc.generate(dc.parse_family("bipartite:3x3")),
+    ]
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        p = rng.choice([0.15, 0.3, 0.5, 0.7])
+        pairs = itertools.combinations(range(n), 2)
+        out.append(make_graph(n, [e for e in pairs if rng.random() < p]))
+    return out
+
+
+def test_automorphism_generators_match_brute_force():
+    for g in _automorphism_graphs():
+        gens = automorphism_generators(g.adj)
+        assert all(_is_automorphism(g, p) for p in gens)
+        brute = sum(
+            _is_automorphism(g, p) for p in itertools.permutations(range(g.n))
+        )
+        assert _group_order(gens, g.n) == brute, g.edges()
+
+
+def test_automorphism_generators_of_larger_graphs():
+    # |Aut| of K_{4,5} is 4! 5!, of C_n is 2n, of the n-prism (n != 4) is 4n
+    cases = [
+        (dc.generate(dc.parse_family(text)), order)
+        for text, order in [("bipartite:4x5", 2880), ("cycle:9", 18), ("prism:5", 20)]
+    ]
+    # a cubic graph on 8 vertices whose refinement reaches leaves with the
+    # first leaf's cell sizes that are not automorphisms (order by brute force)
+    cubic = [(0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (2, 5), (2, 7),
+             (3, 4), (3, 6), (3, 7), (6, 7)]
+    cases.append((make_graph(8, cubic), 4))
+    for g, order in cases:
+        gens = automorphism_generators(g.adj)
+        assert all(_is_automorphism(g, p) for p in gens)
+        assert _group_order(gens, g.n) == order
+
+
+def test_automorphism_search_runs_the_check():
+    class Stop(Exception):
+        pass
+
+    def stop():
+        raise Stop
+
+    with pytest.raises(Stop):
+        automorphism_generators(cycle(6).adj, stop)
 
 
 def test_components_edgeless():

@@ -1,10 +1,16 @@
 """Stability/bondage sweeps, witnesses, budgets and prediction tables."""
 
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domchrom as dc
+from domchrom import perturb
+from domchrom.graph import automorphism_generators
+from domchrom.perturb import PerturbationResult
 from domchrom.predictions import PROVED, SUSPECT
 from corpus import random_corpus
 
@@ -67,6 +73,27 @@ def test_stability_time_budget():
         dc.dom_stability(gen("bipartite:4x4"), budget_ms=0)
 
 
+def test_bondage_time_budget():
+    with pytest.raises(dc.BudgetExceededError, match="budget"):
+        dc.dom_bondage(gen("bipartite:4x5"), budget_ms=0)
+
+
+def test_budget_bounds_the_orbit_walk_of_a_perfect_matching():
+    # no edge subset of 24K2 changes the value (a lone vertex is its own
+    # class), and the subsets of each size form one orbit of up to 2.7
+    # million members: the budget must cut both the group search and the
+    # orbit walk
+    g = dc.make_graph(48, [(2 * i, 2 * i + 1) for i in range(24)])
+    start = time.monotonic()
+    try:
+        r = dc.dom_bondage(g, budget_ms=200)
+    except dc.BudgetExceededError:
+        pass
+    else:
+        assert not r.found
+    assert time.monotonic() - start < 1.0
+
+
 # -- bondage ----------------------------------------------------------------------
 
 
@@ -105,6 +132,115 @@ def test_bondage_single_edge_never_changes_cycles():
 def test_bondage_cap_guard():
     with pytest.raises(dc.BudgetExceededError, match="cap"):
         dc.dom_bondage(gen("complete:8"))
+
+
+# -- orbit sweep against a plain sweep ---------------------------------------------
+
+
+def plain_sweep(g, mode):
+    """Every subset in lexicographic order, each one solved: the reference
+    the orbit sweep must agree with field for field."""
+    if mode == "vertex":
+        items, delete = range(g.n), dc.delete_vertices
+    else:
+        items, delete = g.edges(), dc.delete_edges
+    before = dc.dom_chromatic(g)[0]
+    for s in range(1, len(items) + 1):
+        for subset in combinations(items, s):
+            after = dc.dom_chromatic(delete(g, subset))[0]
+            if after != before:
+                return PerturbationResult(mode, True, before, s, subset, after)
+    return PerturbationResult(mode, False, before)
+
+
+def _proved(ranges, predict):
+    out = []
+    for text in ranges:
+        for fs in dc.parse_family_range(text):
+            try:
+                if predict(fs).status == PROVED:
+                    out.append(str(fs))
+            except dc.NoPredictionError:
+                pass
+    return out
+
+
+STABILITY_TABLE = _proved(
+    ["path:4..12", "cycle:4..12", "friendship:2..3", "wheel:3..6", "book:2..3",
+     "flower:3..4x2", "bipartite:3..4x3..4"],
+    dc.predict_stability,
+)
+BONDAGE_TABLE = _proved(
+    ["path:4..12", "cycle:4..11", "book:2..3", "bipartite:1..4x1..4"],
+    dc.predict_bondage,
+)
+
+
+def test_group_is_searched_after_size_one_on_non_isolated_vertices(monkeypatch):
+    sizes = []
+
+    def spy(adj, check):
+        sizes.append(len(adj))
+        return automorphism_generators(adj, check)
+
+    monkeypatch.setattr(perturb, "automorphism_generators", spy)
+    # a star loses its value with one edge: no group search at all
+    assert dc.dom_bondage(gen("bipartite:1x24")).size == 1
+    assert sizes == []
+    # C8 plus three isolated vertices needs two edges: the group is
+    # searched once, on the eight cycle vertices
+    g = dc.disjoint_union(gen("cycle:8"), dc.make_graph(3))
+    assert dc.dom_bondage(g).size == 2
+    assert sizes == [8]
+
+
+@pytest.mark.parametrize("text", STABILITY_TABLE + ["prism:5", "circulant:12:1,3"])
+def test_stability_equals_plain_sweep(text):
+    g = gen(text)
+    assert dc.dom_stability(g) == plain_sweep(g, "vertex")
+
+
+@pytest.mark.parametrize(
+    "text", BONDAGE_TABLE + ["circulant:12:1,3", "bipartite:4x5", "prism:8"]
+)
+def test_bondage_equals_plain_sweep(text):
+    g = gen(text)
+    assert dc.dom_bondage(g) == plain_sweep(g, "edge")
+
+
+@st.composite
+def symmetric_graphs(draw, max_n=9):
+    """Copies of one small graph, with random extra edges and isolated
+    vertices, shuffled: graphs with many automorphisms and with none."""
+    size = draw(st.integers(1, 4))
+    copies = draw(st.integers(1, max_n // size))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    part = [e for e in pairs if draw(st.booleans())]
+    n = draw(st.integers(size * copies, max_n))
+    edges = [(c * size + i, c * size + j) for c in range(copies) for i, j in part]
+    extra = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges += draw(st.lists(st.sampled_from(extra), max_size=3)) if extra else []
+    order = draw(st.permutations(range(n)))
+    return dc.make_graph(n, [(order[u], order[v]) for u, v in edges])
+
+
+@st.composite
+def sparse_graphs(draw, max_n=9):
+    """At most 12 random edges on up to 9 vertices, so isolated vertices
+    are common."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return dc.make_graph(n, draw(st.lists(st.sampled_from(pairs), max_size=12))
+                         if pairs else [])
+
+
+@settings(max_examples=200)
+@given(st.one_of(symmetric_graphs(), sparse_graphs()))
+def test_orbit_sweeps_equal_plain_sweeps(g):
+    if g.n:
+        assert dc.dom_stability(g) == plain_sweep(g, "vertex")
+    if 0 < g.m <= 10:
+        assert dc.dom_bondage(g) == plain_sweep(g, "edge")
 
 
 # -- prediction tables ---------------------------------------------------------------
