@@ -1,8 +1,8 @@
 """Pure-Python search kernel for dominated k-colorings.
 
-Fallback used when the compiled extension is unavailable.  The search must
-stay behaviorally identical to ``_kernel.c``: same vertex order, same class
-order, same first solution.
+Used when the compiled extension is unavailable or a component has more
+than 64 vertices.  The search must stay behaviorally identical to
+``_kernel.c``: same vertex order, same class order, same first solution.
 """
 
 from __future__ import annotations

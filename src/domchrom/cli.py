@@ -27,7 +27,7 @@ from .solver import dom_chromatic
 
 def _load_target(target: str, fmt: str | None) -> Graph:
     """Resolve a positional target: '-' for stdin, a readable file, or a
-    family spec string."""
+    family spec string.  An explicit ``--format`` always names a file."""
     if target == "-":
         text = sys.stdin.read()
         return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
@@ -35,7 +35,7 @@ def _load_target(target: str, fmt: str | None) -> Graph:
         with open(target, encoding="utf-8") as fh:
             text = fh.read()
         return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
-    if fmt == "dimacs":
+    if fmt is not None:
         raise DomchromError(f"file not found: {target}")
     return generate(parse_family(target))
 
@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--mode", choices=["vertex", "edge"], required=True)
     p_pert.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
     p_pert.add_argument(
-        "--budget", type=_non_negative_int, default=None, help="sweep budget in ms"
+        "--budget", type=_non_negative_int, default=None,
+        help="sweep budget in ms; without one the sweep has no time bound",
     )
     p_pert.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_pert.set_defaults(fn=_cmd_perturb)

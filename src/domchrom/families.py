@@ -74,6 +74,13 @@ class FamilySpec:
     family: Family
     params: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        want, got = 2 if self.family in _TWO_PARAM else 1, len(self.params)
+        if got < want or (got > want and self.family is not Family.CIRCULANT):
+            raise InvalidParameterError(
+                f"wrong number of parameters for {self.family.value}: {got}"
+            )
+
     def __str__(self) -> str:
         tok = self.family.value
         if self.family is Family.CIRCULANT:

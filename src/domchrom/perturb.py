@@ -14,9 +14,8 @@ lexicographic order the sweep marks the whole orbit seen and solves that
 subset alone; every later member of the orbit has the value already
 found, and when that value is unchanged none of them can be the first
 witness.  The witness, and every field of the result, is therefore the one
-a plain sweep over all subsets would give.  Size 1 is swept before the
-automorphism group is computed, because a witness there ends the sweep
-sooner than the group search would.
+a plain sweep over all subsets would give.  The generators are searched
+once, before the walk, and every size, size 1 included, follows this rule.
 """
 
 from __future__ import annotations
@@ -115,10 +114,8 @@ def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> Perturbati
     first, one per automorphism orbit, until the value changes."""
     deadline = _Deadline(budget_ms)
     before = dom_chromatic(g, backend=backend)[0]
-    perms: list[tuple[int, ...]] = []
+    perms = _item_permutations(g, mode, items, deadline.check)
     for s in range(1, len(items) + 1):
-        if s == 2:
-            perms = _item_permutations(g, mode, items, deadline.check)
         seen: set[int] = set()
         for combo in combinations(range(len(items)), s):
             deadline.check()

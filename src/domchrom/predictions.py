@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NoPredictionError, UndefinedInvariantError
-from .families import Family, FamilySpec, normalize_connection_set
+from .families import Family, FamilySpec, circulant_reduce, normalize_connection_set
 from .graph import Graph
 from .invariants import (
     chromatic_number,
@@ -276,15 +276,10 @@ def predict_dom_chromatic(fs: FamilySpec) -> Prediction:
         if folded == (1,):
             return predict_dom_chromatic(FamilySpec(Family.CYCLE, (n,)))
         rule = "circulant(1,3) table"
-        if folded != (1, 3) and len(folded) == 2:
+        if folded != (1, 3) and len(folded) == 2 and n >= 8:
             # reduce C_n(a,b) to C_n(1, a^-1 b) when some value is invertible
-            reduced = None
-            for x, y in (folded, folded[::-1]):
-                if gcd(x, n) == 1:
-                    c = (pow(x, -1, n) * y) % n
-                    reduced = min(c, n - c)
-                    break
-            if reduced == 3 and n >= 8:
+            pairs = [(x, y) for x, y in (folded, folded[::-1]) if gcd(x, n) == 1]
+            if pairs and circulant_reduce(n, *pairs[0]).c == 3:
                 folded = (1, 3)
                 rule = "circulant(1,3) table via isomorphism reduction"
         if folded == (1, 3) and n >= 6:

@@ -191,6 +191,16 @@ def test_cli_unknown_family_is_usage_error(capsys):
     assert code == 2 and "unknown family" in err
 
 
+@pytest.mark.parametrize("command", [["solve"], ["perturb", "--mode", "edge"]])
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+def test_cli_missing_file_with_format_is_usage_error(tmp_path, capsys, command, fmt):
+    missing = str(tmp_path / "nope")
+    code = main(command + ["--format", fmt, missing])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: file not found: {missing}\n"
+
+
 def test_cli_malformed_file_is_usage_error(tmp_path, capsys):
     doc = tmp_path / "bad.txt"
     doc.write_text("not an edge list\n")

@@ -90,6 +90,23 @@ def test_malformed_slots_name_the_parser_grammar(text, single, ranged):
         dc.parse_family_range(text)
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [("grid", (3,)), ("path", ()), ("path", (3, 4)), ("circulant", ()),
+     ("bipartite", (1, 2, 3)), ("flower", ())],
+)
+def test_spec_rejects_a_wrong_parameter_count(family, params):
+    with pytest.raises(dc.InvalidParameterError, match="wrong number of parameters"):
+        dc.spec(family, *params)
+    with pytest.raises(dc.InvalidParameterError, match="wrong number of parameters"):
+        dc.FamilySpec(dc.Family(family), params)
+
+
+def test_circulant_spec_without_connection_values_fails_in_generate():
+    with pytest.raises(dc.InvalidParameterError, match="nonempty connection set"):
+        dc.generate(dc.spec("circulant", 12))
+
+
 # -- generators -------------------------------------------------------------------
 
 

@@ -176,7 +176,7 @@ BONDAGE_TABLE = _proved(
 )
 
 
-def test_group_is_searched_after_size_one_on_non_isolated_vertices(monkeypatch):
+def test_group_is_searched_once_per_sweep_on_non_isolated_vertices(monkeypatch):
     sizes = []
 
     def spy(adj, check):
@@ -184,14 +184,30 @@ def test_group_is_searched_after_size_one_on_non_isolated_vertices(monkeypatch):
         return automorphism_generators(adj, check)
 
     monkeypatch.setattr(perturb, "automorphism_generators", spy)
-    # a star loses its value with one edge: no group search at all
+    # a star loses its value with one edge: the group is still searched,
+    # once, before size 1
     assert dc.dom_bondage(gen("bipartite:1x24")).size == 1
-    assert sizes == []
+    assert sizes == [25]
     # C8 plus three isolated vertices needs two edges: the group is
     # searched once, on the eight cycle vertices
     g = dc.disjoint_union(gen("cycle:8"), dc.make_graph(3))
     assert dc.dom_bondage(g).size == 2
-    assert sizes == [8]
+    assert sizes == [25, 8]
+
+
+@pytest.mark.parametrize("text,mode", [("cycle:12", "vertex"), ("cycle:18", "edge")])
+def test_size_one_solves_one_subset_per_orbit(monkeypatch, text, mode):
+    g = gen(text)
+    solved = []
+
+    def spy(h, *, backend=None):
+        solved.append(g.n - h.n if mode == "vertex" else g.m - h.m)
+        return dc.dom_chromatic(h, backend=backend)
+
+    monkeypatch.setattr(perturb, "dom_chromatic", spy)
+    r = (dc.dom_stability if mode == "vertex" else dc.dom_bondage)(g)
+    # a cycle's group is transitive on its vertices and on its edges
+    assert r.size > 1 and solved.count(1) == 1
 
 
 @pytest.mark.parametrize("text", STABILITY_TABLE + ["prism:5", "circulant:12:1,3"])

@@ -59,6 +59,45 @@ def test_circulant_prediction_via_reduction():
     assert dc.dom_chromatic(dc.generate(fs("circulant:9:2,6")))[0] == 3
 
 
+# every two-value circulant with 8 <= n <= 24 that reduces onto (1, 3),
+# with the predicted value; the (1, 3) status carries over
+_REDUCED_TO_13 = {
+    9: [(2, 3, 3), (3, 4, 3)],
+    11: [(2, 5, 4)],
+    12: [(3, 5, 4)],
+    13: [(2, 6, 4), (3, 4, 4)],
+    14: [(3, 5, 4)],
+    15: [(2, 6, 4), (3, 4, 4), (6, 7, 4)],
+    16: [(3, 7, 4)],
+    17: [(2, 6, 5), (3, 8, 5), (4, 5, 5)],
+    18: [(3, 5, 6), (3, 7, 6)],
+    19: [(2, 6, 6), (3, 9, 6), (4, 7, 6)],
+    20: [(3, 9, 6)],
+    21: [(2, 6, 6), (3, 8, 6), (4, 9, 6), (5, 6, 6), (9, 10, 6)],
+    22: [(3, 9, 6), (5, 7, 6)],
+    23: [(2, 6, 6), (3, 9, 6), (4, 11, 6), (5, 8, 6)],
+    24: [(3, 7, 6), (5, 9, 6), (9, 11, 6)],
+}
+
+
+@pytest.mark.parametrize("n", range(8, 25))
+def test_two_value_circulant_rules(n):
+    reduced = {(a, b): value for a, b, value in _REDUCED_TO_13.get(n, [])}
+    table = dc.predict_dom_chromatic(fs(f"circulant:{n}:1,3"))
+    assert table.rule == "circulant(1,3) table"
+    for a in range(1, n // 2 + 1):
+        for b in range(a + 1, n // 2 + 1):
+            if (a, b) == (1, 3):
+                continue
+            if (a, b) not in reduced:
+                with pytest.raises(dc.NoPredictionError):
+                    dc.predict_dom_chromatic(fs(f"circulant:{n}:{a},{b}"))
+                continue
+            p = dc.predict_dom_chromatic(fs(f"circulant:{n}:{a},{b}"))
+            assert p.rule == "circulant(1,3) table via isomorphism reduction"
+            assert (p.value, p.status) == (reduced[a, b], table.status)
+
+
 def test_circulant_singleton_set_uses_cycle_rule():
     assert dc.predict_dom_chromatic(fs("circulant:9:1")).value == 5
 
