@@ -80,6 +80,9 @@ class FamilySpec:
             raise InvalidParameterError(
                 f"wrong number of parameters for {self.family.value}: {got}"
             )
+        if self.family is Family.CIRCULANT and got == 1:
+            # str() would print "circulant:n:", which does not parse
+            raise InvalidParameterError("circulant graph needs a nonempty connection set")
 
     def __str__(self) -> str:
         tok = self.family.value

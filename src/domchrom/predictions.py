@@ -25,6 +25,7 @@ from .families import Family, FamilySpec, circulant_reduce, normalize_connection
 from .graph import Graph
 from .invariants import (
     chromatic_number,
+    distance_two_independence,
     domination_number,
     max_neighborhood_independence,
     total_domination_number,
@@ -405,11 +406,13 @@ def bound_r_glue(chi1: int, chi2: int, r: int) -> Prediction:
 
 
 def sandwich(g: Graph) -> Prediction:
-    """``max(chi, gamma_t, ⌈n / max_d α(G[N(d)])⌉) <= value <= chi * gamma``
+    """``max(chi, gamma_t, ⌈n / max_d α(G[N(d)])⌉, α(D2)) <= value <= chi * gamma``
     for isolate-free graphs.
 
     The third term holds because every class is an independent set inside
-    the open neighborhood of its dominator.
+    the open neighborhood of its dominator.  The fourth holds because two
+    vertices can share a class only if they are at distance exactly 2,
+    so an independent set of D2 needs pairwise distinct classes.
     """
     if g.isolated_vertices():
         raise UndefinedInvariantError("sandwich bound needs an isolate-free graph")
@@ -421,6 +424,6 @@ def sandwich(g: Graph) -> Prediction:
         "interval",
         PROVED,
         "sandwich bound",
-        lo=max(chi, gamma_t, neighborhood),
+        lo=max(chi, gamma_t, neighborhood, distance_two_independence(g.adj)),
         hi=chi * gamma,
     )

@@ -21,6 +21,7 @@ from . import _kernel_py
 from .errors import OracleCapError
 from .graph import Graph, bits, components, induced
 from .invariants import (
+    distance_two_independence,
     greedy_clique,
     max_neighborhood_independence,
     total_domination_number,
@@ -182,6 +183,10 @@ def _component_lower_bound(comp: Graph) -> int:
       α(G[N(d)]) <= deg d, this term is never below ``⌈n / Δ⌉``.
     * Total domination number: the dominators of the classes cover every
       vertex by open neighborhoods, so they form a total dominating set.
+
+    A fourth term, α(D2), is not part of this bound: ``dom_chromatic``
+    computes it only once the kernel has refuted this bound, so the many
+    components with no bound gap never pay for it.
     """
     clique = len(greedy_clique(comp.adj))
     neighborhood = -(-comp.n // max_neighborhood_independence(comp.adj))
@@ -212,8 +217,16 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
     Classes cannot span components, so the minimum is computed per
     connected component and summed; isolated vertices add one exempt
     singleton class each.  The kernel sees each component relabeled once,
-    in degeneracy order, and tries k upward from the component's lower
-    bound.  The empty graph has value 0.
+    in degeneracy order, and is first asked at the component's lower bound.
+    Only if that k is infeasible does the solver compute the distance-two
+    bound α(D2) (vertices at distance exactly 2 are the only ones that can
+    share a class), and it goes on upward from the larger of k + 1 and
+    α(D2).  The bound is lazy because it costs about a third of γ_t and
+    most components, nearly all of a stability or bondage sweep, have no
+    bound gap; computed eagerly it slowed those sweeps.  Each kernel call
+    stands alone and only infeasible k are skipped, so the first feasible
+    k and its solution do not depend on the bound.  The empty graph has
+    value 0.
     """
     kernel = _kernel_for(backend)
     classes: list[int] = []
@@ -223,12 +236,16 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
             continue
         order = [original[v] for v in _degeneracy_order(comp.adj)]
         local_adj = induced(g, order).adj
-        for k in range(_component_lower_bound(comp), comp.n + 1):
-            found = kernel(local_adj, k)
-            if found is not None:
-                break
-        else:
-            raise AssertionError("one color per vertex always succeeds")
+        k = _component_lower_bound(comp)
+        found = kernel(local_adj, k)
+        if found is None:
+            start = max(k + 1, distance_two_independence(local_adj))
+            for k in range(start, comp.n + 1):
+                found = kernel(local_adj, k)
+                if found is not None:
+                    break
+            else:
+                raise AssertionError("one color per vertex always succeeds")
         masks = [0] * k
         for v, c in zip(order, found):
             masks[c] |= 1 << v

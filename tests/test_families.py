@@ -102,9 +102,26 @@ def test_spec_rejects_a_wrong_parameter_count(family, params):
         dc.FamilySpec(dc.Family(family), params)
 
 
-def test_circulant_spec_without_connection_values_fails_in_generate():
+def test_circulant_spec_without_connection_values_is_rejected():
     with pytest.raises(dc.InvalidParameterError, match="nonempty connection set"):
         dc.generate(dc.spec("circulant", 12))
+
+
+# the family ranges of the benchmark's audit workload
+AUDIT_RANGES = (
+    "cycle:3..24", "path:1..24", "grid:2..6x2..6", "ladder:2..12",
+    "prism:4..12", "circulant:6..30:1,3",
+    "tchain:2..8", "parasquare:1..6", "orthosquare:1..6",
+    "parahex:2..4", "metahex:2..4",
+    "wheel:3..16", "flower:3..5x1..4", "cliquestar:3..4x3..4",
+    "bipartite:1..6x1..6", "book:2..8", "friendship:1..8",
+)
+
+
+@pytest.mark.parametrize("text", AUDIT_RANGES + ("circulant:5..9:1,2,3",))
+def test_specs_round_trip_through_str(text):
+    for fs in dc.parse_family_range(text):
+        assert dc.parse_family(str(fs)) == fs
 
 
 # -- generators -------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom.invariants import independence_number
+from domchrom.graph import _bfs_masks
+from domchrom.invariants import distance_two_rows, independence_number
 from corpus import random_corpus
 
 
@@ -86,6 +87,14 @@ def test_independence_number_matches_brute_force(case):
     g, vertices = case
     mask = sum(1 << v for v in vertices)
     assert independence_number(g.adj, mask) == alpha_brute(g.adj, vertices)
+
+
+def test_distance_two_rows_are_the_second_bfs_layer():
+    for g in random_corpus(1012, 120, n_hi=14, probs=(0.15, 0.3, 0.5)):
+        rows = distance_two_rows(g.adj)
+        for u in range(g.n):
+            dist = _bfs_masks(g.adj, u)
+            assert rows[u] == sum(1 << v for v in range(g.n) if dist[v] == 2)
 
 
 # -- chromatic number ------------------------------------------------------------

@@ -245,6 +245,13 @@ def test_sandwich_examples():
     assert p.contains(dc.dom_chromatic(dc.generate(fs("cycle:8")))[0])
 
 
+@pytest.mark.parametrize("text,lo", [("cliquestar:4x3", 8), ("cliquestar:5x3", 10)])
+def test_sandwich_lower_end_includes_distance_two_bound(text, lo):
+    # χ, γ_t and the neighborhood term reach only 6 and 8; α(D2) is the value
+    g = dc.generate(fs(text))
+    assert dc.sandwich(g).lo == lo == dc.dom_chromatic(g)[0]
+
+
 def test_sandwich_rejects_isolates():
     with pytest.raises(dc.UndefinedInvariantError):
         dc.sandwich(dc.make_graph(2, []))

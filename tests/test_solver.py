@@ -15,8 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom import _kernel_py
-from domchrom.invariants import independence_number, max_neighborhood_independence
+from domchrom import _kernel_py, solver
+from domchrom.invariants import (
+    distance_two_independence,
+    greedy_clique,
+    independence_number,
+    max_neighborhood_independence,
+)
 from domchrom.solver import DomColoring
 from corpus import random_corpus, random_graph
 
@@ -239,10 +244,12 @@ def built_kernel(tmp_path_factory):
     if shutil.which(cc.split()[0]) is None:
         pytest.skip("no C compiler on PATH")
     out = tmp_path_factory.mktemp("kernel")
+    # any compiler warning in _kernel.c fails the build, and with it the tests
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
         cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+        env={**os.environ, "CFLAGS": "-Wall -Wextra -Werror"},
     )
     built = list((out / "lib" / "domchrom").glob("_kernel.*"))
     assert build.returncode == 0 and len(built) == 1, build.stdout + build.stderr
@@ -341,6 +348,44 @@ def test_neighborhood_bound_closes_triangle_chain_gap(monkeypatch, links):
 def test_neighborhood_bound_lifts_clique_star(monkeypatch):
     value, ks = kernel_ks(monkeypatch, gen("cliquestar:4x3"))
     assert ks[0] == 6 and ks[-1] == value
+
+
+CLIQUE_STAR_KS = {
+    "cliquestar:3x3": [5, 6],
+    "cliquestar:4x3": [6, 8],
+    "cliquestar:5x3": [8, 10],
+    "cliquestar:3x4": [6, 9],
+    "cliquestar:4x4": [8, 12],
+}
+
+
+@pytest.mark.parametrize("text", CLIQUE_STAR_KS)
+def test_distance_two_bound_skips_infeasible_ks(monkeypatch, text):
+    # after the first infeasible k the search jumps to α(D2), the value here
+    ks = CLIQUE_STAR_KS[text]
+    assert kernel_ks(monkeypatch, gen(text)) == (ks[-1], ks)
+
+
+def test_distance_two_bound_is_computed_only_after_an_infeasible_k(monkeypatch):
+    calls = []
+
+    def spy(adj):
+        calls.append(len(adj))
+        return distance_two_independence(adj)
+
+    monkeypatch.setattr(solver, "distance_two_independence", spy)
+    for text in [f"tchain:{links}" for links in range(2, 13)] + ["cycle:12", "prism:7"]:
+        dc.dom_chromatic(gen(text))
+    assert calls == []
+    dc.dom_chromatic(gen("cliquestar:5x3"))
+    assert calls == [15]
+
+
+@given(graphs(max_n=7), st.integers(min_value=0, max_value=2))
+def test_distance_two_bound_lies_between_clique_and_value(g, isolates):
+    g = dc.disjoint_union(g, dc.make_graph(isolates, []))
+    alpha = distance_two_independence(g.adj)
+    assert len(greedy_clique(g.adj)) <= alpha <= dc.dom_chromatic_oracle(g)
 
 
 @given(graphs(max_n=5), graphs(max_n=5))
