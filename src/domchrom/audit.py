@@ -9,19 +9,13 @@ the audit expects instead.
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from .errors import NoPredictionError
+from . import __version__
+from .errors import Deadline, NoPredictionError
 from .families import FamilySpec, generate
-from .predictions import (
-    PROVED,
-    SUSPECT,
-    Prediction,
-    erratum_for,
-    predict_dom_chromatic,
-)
-from .solver import dom_chromatic, dom_chromatic_oracle
+from .predictions import PROVED, SUSPECT, erratum_for, predict_dom_chromatic
+from .solver import DEFAULT_ORACLE_CAP, dom_chromatic, dom_chromatic_oracle
 
 DEFAULT_SOLVER_CAP = 18
 
@@ -58,54 +52,68 @@ class AuditRow:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The rows, in input order, and the limits ``audit_specs`` ran with."""
+
     rows: tuple[AuditRow, ...]
-    summary: dict = field(default_factory=dict)
+    solver_cap: int
+    oracle_cap: int
+    budget_ms: int | None
 
     @property
     def ok(self) -> bool:
         return not any(row.failed for row in self.rows)
+
+    @property
+    def summary(self) -> dict:
+        rows = self.rows
+        return {
+            "instances": len(rows),
+            "agree": sum(1 for r in rows if r.agree is True),
+            "disagree": sum(1 for r in rows if r.agree is False),
+            "suspect": sum(1 for r in rows if r.status == SUSPECT and r.skip is None),
+            "suspect_confirmed": sum(
+                1
+                for r in rows
+                if r.status == SUSPECT
+                and r.solver is not None
+                and r.predicted is not None
+                and r.solver != r.predicted
+            ),
+            "errata": sum(1 for r in rows if r.errata),
+            "skipped": sum(1 for r in rows if r.skip is not None),
+        }
+
+
+def _skipped(fs: FamilySpec, reason: str) -> AuditRow:
+    """A row for an instance left before its prediction: no rule, or no time."""
+    return AuditRow(spec=str(fs), kind="exact", status=SUSPECT, predicted=None, skip=reason)
 
 
 def _audit_one(
     fs: FamilySpec, solver_cap: int, oracle_cap: int, backend: str | None
 ) -> AuditRow:
     try:
-        prediction: Prediction | None = predict_dom_chromatic(fs)
+        prediction = predict_dom_chromatic(fs)
     except NoPredictionError as exc:
-        return AuditRow(
-            spec=str(fs), kind="exact", status=SUSPECT, predicted=None,
-            skip=f"no rule: {exc}",
-        )
+        return _skipped(fs, f"no rule: {exc}")
     g = generate(fs)
     erratum = erratum_for(fs)
     expected = erratum.corrected if erratum else prediction.value
-    note = prediction.note
-    if erratum:
-        note = erratum.reason
-    if g.n > solver_cap:
-        return AuditRow(
-            spec=str(fs),
-            kind=prediction.kind,
-            status=prediction.status,
-            predicted=prediction.value,
-            expected=expected,
-            errata=erratum is not None,
-            skip=f"size cap: {g.n} > {solver_cap} vertices",
-            note=note,
-        )
-    solver_value = dom_chromatic(g, backend=backend)[0]
-    oracle_value = dom_chromatic_oracle(g, cap=oracle_cap) if g.n <= oracle_cap else None
-    return AuditRow(
+    common = dict(
         spec=str(fs),
         kind=prediction.kind,
         status=prediction.status,
         predicted=prediction.value,
         expected=expected,
         errata=erratum is not None,
-        solver=solver_value,
-        oracle=oracle_value,
-        agree=solver_value == expected,
-        note=note,
+        note=erratum.reason if erratum else prediction.note,
+    )
+    if g.n > solver_cap:
+        return AuditRow(**common, skip=f"size cap: {g.n} > {solver_cap} vertices")
+    solver_value = dom_chromatic(g, backend=backend)[0]
+    oracle_value = dom_chromatic_oracle(g, cap=oracle_cap) if g.n <= oracle_cap else None
+    return AuditRow(
+        **common, solver=solver_value, oracle=oracle_value, agree=solver_value == expected
     )
 
 
@@ -113,50 +121,29 @@ def audit_specs(
     specs: list[FamilySpec],
     *,
     solver_cap: int = DEFAULT_SOLVER_CAP,
-    oracle_cap: int = 10,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
     budget_ms: int | None = None,
     backend: str | None = None,
 ) -> AuditReport:
-    """Audit the given instances in order; rows mirror the input order."""
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    rows = []
-    for fs in specs:
-        if deadline is not None and time.monotonic() > deadline:
-            rows.append(
-                AuditRow(
-                    spec=str(fs), kind="exact", status=SUSPECT, predicted=None,
-                    skip="budget exceeded",
-                )
-            )
-            continue
-        rows.append(_audit_one(fs, solver_cap, oracle_cap, backend))
-    summary = {
-        "instances": len(rows),
-        "agree": sum(1 for r in rows if r.agree is True),
-        "disagree": sum(1 for r in rows if r.agree is False),
-        "suspect": sum(1 for r in rows if r.status == SUSPECT and r.skip is None),
-        "suspect_confirmed": sum(
-            1
-            for r in rows
-            if r.status == SUSPECT
-            and r.solver is not None
-            and r.predicted is not None
-            and r.solver != r.predicted
-        ),
-        "errata": sum(1 for r in rows if r.errata),
-        "skipped": sum(1 for r in rows if r.skip is not None),
-    }
-    return AuditReport(tuple(rows), summary)
+    """Audit the given instances in order; rows mirror the input order.
+    Once ``budget_ms`` has passed, every remaining row is skipped."""
+    deadline = Deadline(budget_ms)
+    rows = tuple(
+        _skipped(fs, "budget exceeded") if deadline.expired()
+        else _audit_one(fs, solver_cap, oracle_cap, backend)
+        for fs in specs
+    )
+    return AuditReport(rows, solver_cap, oracle_cap, budget_ms)
 
 
-def report_to_dict(report: AuditReport, *, version: str, solver_cap: int,
-                   oracle_cap: int, budget_ms: int | None) -> dict:
-    """JSON-ready representation with stable key order."""
+def report_to_dict(report: AuditReport) -> dict:
+    """JSON-ready representation with stable key order, headed by the
+    package version and the limits the report was made with."""
     return {
-        "version": version,
-        "solver_cap": solver_cap,
-        "oracle_cap": oracle_cap,
-        "budget_ms": budget_ms,
+        "version": __version__,
+        "solver_cap": report.solver_cap,
+        "oracle_cap": report.oracle_cap,
+        "budget_ms": report.budget_ms,
         "ok": report.ok,
         "summary": report.summary,
         "instances": [asdict(r) for r in report.rows],

@@ -22,7 +22,7 @@ from .families import generate, parse_family, parse_family_range
 from .graph import Graph, format_edge_list, parse_dimacs, parse_edge_list
 from .invariants import chromatic_number, domination_number, total_domination_number
 from .perturb import dom_bondage, dom_stability
-from .solver import dom_chromatic
+from .solver import DEFAULT_ORACLE_CAP, dom_chromatic
 
 
 def _load_target(target: str, fmt: str | None) -> Graph:
@@ -103,14 +103,7 @@ def _cmd_audit(args) -> int:
         oracle_cap=args.oracle_cap,
         budget_ms=args.budget,
     )
-    payload = report_to_dict(
-        report,
-        version=__version__,
-        solver_cap=args.solver_cap,
-        oracle_cap=args.oracle_cap,
-        budget_ms=args.budget,
-    )
-    _emit(payload, args.out)
+    _emit(report_to_dict(report), args.out)
     return 0 if report.ok else 1
 
 
@@ -162,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--solver-cap", type=_non_negative_int, default=DEFAULT_SOLVER_CAP
     )
-    p_audit.add_argument("--oracle-cap", type=_non_negative_int, default=10)
+    p_audit.add_argument(
+        "--oracle-cap", type=_non_negative_int, default=DEFAULT_ORACLE_CAP
+    )
     p_audit.add_argument(
         "--budget", type=_non_negative_int, default=None, help="total budget in ms"
     )

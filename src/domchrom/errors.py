@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline that raises
+``BudgetExceededError``."""
+
+import time
 
 
 class DomchromError(Exception):
@@ -28,3 +31,19 @@ class OracleCapError(DomchromError, ValueError):
 
 class BudgetExceededError(DomchromError, RuntimeError):
     """An exhaustive sweep was refused or aborted by the complexity guard."""
+
+
+class Deadline:
+    """The moment ``budget_ms`` milliseconds after construction; a budget of
+    ``None`` never expires.  Every ``budget_ms`` in the package becomes one."""
+
+    def __init__(self, budget_ms: int | None):
+        self.limit = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+
+    def expired(self) -> bool:
+        return self.limit is not None and time.monotonic() > self.limit
+
+    def check(self) -> None:
+        """The sweeps' guard: raise once the deadline has passed."""
+        if self.expired():
+            raise BudgetExceededError("perturbation sweep exceeded the time budget")

@@ -427,7 +427,7 @@ def _parsed_graph(n: int, edges: list[Edge]) -> Graph:
         return make_graph(n, edges)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise GraphFormatError(f"vertex count too large: {n}") from None
 
 

@@ -176,8 +176,6 @@ def chromatic_number(g: Graph) -> InvariantResult:
     greedy = _greedy_coloring(g.adj, order)
     ub = max(greedy)
     lb = max(len(greedy_clique(g.adj)), 1)
-    if lb == ub:
-        return InvariantResult(ub, tuple(greedy))
     for k in range(lb, ub):
         witness = _k_coloring(g.adj, order, k)
         if witness is not None:

@@ -20,11 +20,10 @@ once, before the walk, and every size, size 1 included, follows this rule.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceededError, NoPredictionError
+from .errors import BudgetExceededError, Deadline, NoPredictionError
 from .families import Family, FamilySpec
 from .graph import (
     Graph,
@@ -58,15 +57,6 @@ class PerturbationResult:
     size: int | None = None
     witness: tuple = ()
     after: int | None = None
-
-
-class _Deadline:
-    def __init__(self, budget_ms: int | None):
-        self.limit = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-
-    def check(self) -> None:
-        if self.limit is not None and time.monotonic() > self.limit:
-            raise BudgetExceededError("perturbation sweep exceeded the time budget")
 
 
 def _item_permutations(g: Graph, mode: str, items, check) -> list[tuple[int, ...]]:
@@ -112,7 +102,7 @@ def _orbit(mask: int, perms, check) -> set[int]:
 def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> PerturbationResult:
     """Try removing subsets of ``items``, smallest and lexicographically
     first, one per automorphism orbit, until the value changes."""
-    deadline = _Deadline(budget_ms)
+    deadline = Deadline(budget_ms)
     before = dom_chromatic(g, backend=backend)[0]
     perms = _item_permutations(g, mode, items, deadline.check)
     for s in range(1, len(items) + 1):

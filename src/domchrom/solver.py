@@ -38,6 +38,9 @@ if _kernel is not None:
 
 DEFAULT_BACKEND = "compiled" if _kernel is not None else "python"
 
+#: Largest graph the brute-force oracle takes unless told otherwise.
+DEFAULT_ORACLE_CAP = 10
+
 
 def available_backends() -> tuple[str, ...]:
     """Names of the search kernels usable in this interpreter."""
@@ -270,7 +273,7 @@ def exists_k(g: Graph, k: int) -> DomColoring | None:
 # -- independent oracle --------------------------------------------------------
 
 
-def dom_chromatic_oracle(g: Graph, *, cap: int = 10) -> int:
+def dom_chromatic_oracle(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Ground truth by direct enumeration of vertex-set partitions.
 
     Walks every partition of the vertices into independent blocks (in

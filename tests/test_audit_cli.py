@@ -1,5 +1,6 @@
 """Audit rows/summary semantics and the command-line surface."""
 
+import dataclasses
 import io
 import json
 import os
@@ -115,15 +116,33 @@ def test_cli_audit_exit_one_on_wrong_proved_row(monkeypatch, capsys):
 
 def test_report_dict_shape():
     report = dc.audit_specs(dc.parse_family_range("path:4..5"))
-    payload = dc.report_to_dict(
-        report, version="0.1.0", solver_cap=18, oracle_cap=10, budget_ms=None
-    )
+    payload = dc.report_to_dict(report)
     assert payload["ok"] is True and payload["version"] == "0.1.0"
     assert [row["spec"] for row in payload["instances"]] == ["path:4", "path:5"]
     assert set(payload["summary"]) == {
         "instances", "agree", "disagree", "suspect", "suspect_confirmed",
         "errata", "skipped",
     }
+
+
+def test_report_header_is_the_limits_the_audit_ran_with():
+    specs = dc.parse_family_range("path:2..7")
+    payload = dc.report_to_dict(dc.audit_specs(specs, solver_cap=5, oracle_cap=3))
+    header = {key: payload[key] for key in ("solver_cap", "oracle_cap", "budget_ms")}
+    assert header == {"solver_cap": 5, "oracle_cap": 3, "budget_ms": None}
+    assert [row["skip"] is not None for row in payload["instances"]] == [
+        False, False, False, False, True, True,
+    ]
+    assert [row["oracle"] is not None for row in payload["instances"]] == [
+        True, True, False, False, False, False,
+    ]
+
+
+def test_report_summary_is_derived_from_the_rows():
+    report = dc.audit_specs(dc.parse_family_range("path:4..5"), budget_ms=60_000)
+    assert "summary" not in {f.name for f in dataclasses.fields(report)}
+    assert report.budget_ms == 60_000
+    assert dc.report_to_dict(report)["summary"] == report.summary
 
 
 # -- CLI ------------------------------------------------------------------------------
@@ -211,12 +230,17 @@ def test_cli_malformed_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "fmt,doc",
-    [("edgelist", "1000000000000000 0\n"), ("dimacs", "p edge 1000000000000000 0\n")],
+    [
+        ("edgelist", "1000000000000000 0\n"),
+        ("dimacs", "p edge 1000000000000000 0\n"),
+        ("edgelist", "99999999999999999999 0\n"),  # beyond an index: no allocation tried
+        ("dimacs", "p edge 99999999999999999999 0\n"),
+    ],
 )
 def test_cli_absurd_vertex_count_is_usage_error(fmt, doc, monkeypatch, capsys):
     code, out, err = run_cli(["solve", "--format", fmt, "-"], doc, monkeypatch, capsys)
     assert code == 2 and out == ""
-    assert err == "error: vertex count too large: 1000000000000000\n"
+    assert err == f"error: vertex count too large: {doc.split()[-2]}\n"
 
 
 def test_cli_second_dimacs_problem_line_is_usage_error(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
@@ -408,6 +408,62 @@ def test_parse_dimacs_requires_problem_line():
 def test_parse_dimacs_rejects_second_problem_line():
     with pytest.raises(dc.GraphFormatError, match="duplicate problem line"):
         dc.parse_dimacs("p edge 3 1\ne 1 2\np edge 2 0\n")
+
+
+@pytest.mark.parametrize(
+    "parse,doc",
+    [
+        (dc.parse_edge_list, "99999999999999999999 0\n"),
+        (dc.parse_dimacs, "p edge 99999999999999999999 0\n"),
+    ],
+)
+def test_parsers_reject_a_vertex_count_beyond_an_index(parse, doc):
+    with pytest.raises(dc.GraphFormatError, match="^vertex count too large: 99999999999999999999$"):
+        parse(doc)
+
+
+# Vertex counts come from a small range or from 2**63 up, never from between:
+# a count in between is a real allocation.
+_COUNT = st.one_of(st.integers(-5, 40), st.integers(2**63, 2**70))
+_TOKEN = st.one_of(_COUNT, st.sampled_from(["x", "1.5", "-", "0x3", "1e3", "e", "p", "∞"]))
+_ROW = st.lists(_TOKEN, max_size=3)  # wrong arity, junk tokens, blank lines
+
+
+def _text(rows):
+    return "\n".join(" ".join(map(str, row)) for row in rows)
+
+
+@st.composite
+def _edge_list_docs(draw):
+    edges = draw(st.lists(st.one_of(st.tuples(_COUNT, _COUNT), _ROW), max_size=6))
+    header = draw(st.one_of(_COUNT.map(lambda n: (n, len(edges))), _ROW))
+    return _text([header, *edges])
+
+
+@st.composite
+def _dimacs_docs(draw):
+    junk = st.one_of(_ROW.map(lambda row: ["p", *row]), _ROW.map(lambda row: ["e", *row]), _ROW)
+    problem = draw(st.one_of(
+        st.tuples(st.just("p"), st.sampled_from(["edge", "col", "graph"]), _COUNT, _COUNT), junk
+    ))
+    lines = st.one_of(
+        st.tuples(st.just("e"), _COUNT, _COUNT), _ROW.map(lambda row: ["c", *row]), junk
+    )
+    return _text([problem, *draw(st.lists(lines, max_size=6))])
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.tuples(st.just(dc.parse_edge_list), _edge_list_docs()),
+    st.tuples(st.just(dc.parse_dimacs), _dimacs_docs()),
+))
+def test_parsers_return_a_graph_or_raise_a_format_error(case):
+    parse, doc = case
+    try:
+        g = parse(doc)
+    except dc.GraphFormatError:
+        return
+    assert isinstance(g, dc.Graph) and 0 <= g.n <= 40
 
 
 def test_bits_helper():
