@@ -4,7 +4,8 @@ Consumers are scripts and tests, so output bytes are deterministic for
 fixed inputs and flags, and everything beyond ``gen``'s edge lists is JSON.
 
 Exit codes: 0 success, 1 audit disagreement outside the errata whitelist,
-2 usage error (unknown family, malformed file, exceeded budget, ...).
+2 usage error (unknown family, malformed file, exceeded budget, an input
+too deep for the recursive searches, ...).
 """
 
 from __future__ import annotations
@@ -187,6 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (DomchromError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the exact searches recurse once per chosen vertex or class
+        print("error: input too large for the recursive search", file=sys.stderr)
         return 2
 
 

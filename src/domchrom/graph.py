@@ -82,6 +82,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _derived(adj: tuple[int, ...]) -> Graph:
+    """A graph cut from a valid one, built without the checks of
+    ``Graph.__post_init__``.  An induced subgraph or an edge deletion of a
+    simple graph is simple, so the checks cannot fail; the solver and the
+    sweeps build such graphs by the thousand."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", len(adj))
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def bits(mask: int) -> list[int]:
     """Indices of set bits, ascending."""
     out = []
@@ -112,6 +123,8 @@ def induced(g: Graph, vertices: Sequence[int]) -> Graph:
     """Subgraph induced on distinct ``vertices``, with ``vertices[i]``
     relabeled ``i``."""
     pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) != len(vertices):
+        raise ValueError("repeated vertex in induced-subgraph selection")
     keep = 0
     for v in vertices:
         keep |= 1 << v
@@ -121,7 +134,7 @@ def induced(g: Graph, vertices: Sequence[int]) -> Graph:
         for u in bits(g.adj[v] & keep):
             mask |= 1 << pos[u]
         adj.append(mask)
-    return Graph(len(adj), tuple(adj))
+    return _derived(tuple(adj))
 
 
 # -- symmetry -------------------------------------------------------------
@@ -280,7 +293,7 @@ def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
             raise ValueError(f"edge not in graph: {tuple(e)}")
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
+    return _derived(tuple(adj))
 
 
 # -- composition ----------------------------------------------------------

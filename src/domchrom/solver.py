@@ -7,6 +7,11 @@ exception is an isolated vertex, which forms a dominator-less singleton
 class of its own; this convention makes the minimum additive over
 connected components and is load-bearing for the perturbation results.
 
+The exact solver brackets each component between a lower bound (greedy
+clique, neighborhood independence, total domination γ_t) and the size of
+a dominated coloring read off the γ_t witness.  Only an open bracket pays
+for the distance-two bound α(D2) before the first search call.
+
 Two interchangeable search kernels exist: a compiled extension and a pure
 Python fallback.  The compiled one is used when it imports and the
 component has at most 64 vertices; the Python one otherwise.
@@ -173,11 +178,12 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return elim
 
 
-def _component_lower_bound(comp: Graph) -> int:
-    """max(greedy clique, neighborhood-independence term, γ_t).
+def _component_bounds(comp: Graph) -> tuple[int, int]:
+    """``(lower, upper)`` on the dominated chromatic number of ``comp``.
 
     ``comp`` is connected with at least two vertices, hence isolate-free,
-    so every class of a dominated coloring has a dominator.
+    so every class of a dominated coloring has a dominator.  ``lower`` is
+    max(greedy clique, neighborhood-independence term, γ_t):
 
     * Clique: the vertices of a clique need pairwise distinct colors.
     * Neighborhood independence, ``⌈n / max_d α(G[N(d)])⌉``: a class is
@@ -187,14 +193,33 @@ def _component_lower_bound(comp: Graph) -> int:
     * Total domination number: the dominators of the classes cover every
       vertex by open neighborhoods, so they form a total dominating set.
 
-    A fourth term, α(D2), is not part of this bound: ``dom_chromatic``
-    computes it only once the kernel has refuted this bound, so the many
-    components with no bound gap never pay for it.
+    ``upper`` is the size of a dominated coloring built from the γ_t
+    witness D.  The witness covers every vertex, so the parts
+    ``N(d) minus the earlier parts``, for d in D in witness order,
+    partition the vertices.  Each part gets a first-fit proper coloring;
+    every class is independent and lies inside N(d), so d dominates it.
+    In a triangle-free component each N(d) is independent, every part is
+    one class, and ``upper`` <= γ_t <= ``lower``: the bounds meet.
     """
-    clique = len(greedy_clique(comp.adj))
-    neighborhood = -(-comp.n // max_neighborhood_independence(comp.adj))
-    gamma_t = total_domination_number(comp).value
-    return max(clique, neighborhood, gamma_t)
+    adj = comp.adj
+    clique = len(greedy_clique(adj))
+    neighborhood = -(-comp.n // max_neighborhood_independence(adj))
+    gamma_t = total_domination_number(comp)
+    upper = 0
+    left = (1 << comp.n) - 1
+    for d in gamma_t.witness:
+        part = adj[d] & left
+        left ^= part
+        classes: list[int] = []
+        for v in bits(part):
+            for i, mask in enumerate(classes):
+                if not adj[v] & mask:
+                    classes[i] = mask | 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+        upper += len(classes)
+    return max(clique, neighborhood, gamma_t.value), upper
 
 
 def _assemble(g: Graph, classes: list[int]) -> DomColoring:
@@ -220,16 +245,17 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
     Classes cannot span components, so the minimum is computed per
     connected component and summed; isolated vertices add one exempt
     singleton class each.  The kernel sees each component relabeled once,
-    in degeneracy order, and is first asked at the component's lower bound.
-    Only if that k is infeasible does the solver compute the distance-two
-    bound α(D2) (vertices at distance exactly 2 are the only ones that can
-    share a class), and it goes on upward from the larger of k + 1 and
-    α(D2).  The bound is lazy because it costs about a third of γ_t and
-    most components, nearly all of a stability or bondage sweep, have no
-    bound gap; computed eagerly it slowed those sweeps.  Each kernel call
-    stands alone and only infeasible k are skipped, so the first feasible
-    k and its solution do not depend on the bound.  The empty graph has
-    value 0.
+    in degeneracy order, and is asked once per k, counting up from a
+    proven lower bound.  That start is the lower bound of
+    ``_component_bounds``, raised to the distance-two bound α(D2)
+    (vertices at distance exactly 2 are the only ones that can share a
+    class) when the upper bound, the size of the γ_t witness coloring,
+    exceeds it.  Where the two bounds meet, the lower bound is the value
+    and α(D2), which costs about a third of γ_t, could not raise it; that
+    holds for every triangle-free component, so for nearly all of a
+    stability or bondage sweep.  Each kernel call stands alone and only
+    infeasible k are skipped, so the first feasible k and its solution do
+    not depend on the bounds.  The empty graph has value 0.
     """
     kernel = _kernel_for(backend)
     classes: list[int] = []
@@ -239,16 +265,16 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
             continue
         order = [original[v] for v in _degeneracy_order(comp.adj)]
         local_adj = induced(g, order).adj
-        k = _component_lower_bound(comp)
-        found = kernel(local_adj, k)
-        if found is None:
-            start = max(k + 1, distance_two_independence(local_adj))
-            for k in range(start, comp.n + 1):
-                found = kernel(local_adj, k)
-                if found is not None:
-                    break
-            else:
-                raise AssertionError("one color per vertex always succeeds")
+        lower, upper = _component_bounds(comp)
+        start = lower
+        if upper > lower:
+            start = max(lower, distance_two_independence(local_adj))
+        for k in range(start, upper + 1):
+            found = kernel(local_adj, k)
+            if found is not None:
+                break
+        else:
+            raise AssertionError("the γ_t witness coloring makes k = upper feasible")
         masks = [0] * k
         for v, c in zip(order, found):
             masks[c] |= 1 << v

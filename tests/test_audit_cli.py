@@ -269,6 +269,16 @@ def test_cli_budget_exceeded_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["solve", "path:1000"], ["solve", "--invariant", "chi", "cycle:1001"]]
+)
+def test_cli_input_too_deep_to_recurse_is_usage_error(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: input too large for the recursive search\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["audit", "--family", "path:3", "--solver-cap", "-1"],

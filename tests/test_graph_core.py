@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom.graph import automorphism_generators, bits, make_graph
+from domchrom.graph import automorphism_generators, bits, induced, make_graph
 
 
 @st.composite
@@ -125,6 +125,18 @@ def test_delete_absent_edge_raises():
 def test_deleting_nothing_is_identity(g):
     assert dc.delete_vertices(g, []) == g
     assert dc.delete_edges(g, []) == g
+
+
+@pytest.mark.parametrize(
+    "g,vertices",
+    [
+        (make_graph(2, [(0, 1)]), [0, 1, 0]),  # the row of 1 would point at 0 only
+        (make_graph(2), [1, 1]),  # an isolated repeat gave two vertices
+    ],
+)
+def test_induced_rejects_a_repeated_vertex(g, vertices):
+    with pytest.raises(ValueError, match="repeated vertex"):
+        induced(g, vertices)
 
 
 def _induced_reference(g, kept):

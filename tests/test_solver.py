@@ -346,27 +346,30 @@ def test_neighborhood_bound_closes_triangle_chain_gap(monkeypatch, links):
 
 
 def test_neighborhood_bound_lifts_clique_star(monkeypatch):
-    value, ks = kernel_ks(monkeypatch, gen("cliquestar:4x3"))
-    assert ks[0] == 6 and ks[-1] == value
+    g = gen("cliquestar:4x3")
+    assert solver._component_bounds(g)[0] == 6
+    # the bounds differ, so α(D2) = 8 moves the start past every refuted k
+    assert kernel_ks(monkeypatch, g) == (8, [8])
 
 
 CLIQUE_STAR_KS = {
-    "cliquestar:3x3": [5, 6],
-    "cliquestar:4x3": [6, 8],
-    "cliquestar:5x3": [8, 10],
-    "cliquestar:3x4": [6, 9],
-    "cliquestar:4x4": [8, 12],
+    "cliquestar:3x3": [6],
+    "cliquestar:4x3": [8],
+    "cliquestar:5x3": [10],
+    "cliquestar:3x4": [9],
+    "cliquestar:4x4": [12],
 }
 
 
 @pytest.mark.parametrize("text", CLIQUE_STAR_KS)
 def test_distance_two_bound_skips_infeasible_ks(monkeypatch, text):
-    # after the first infeasible k the search jumps to α(D2), the value here
+    # the γ_t witness coloring shows a gap, so the search starts at α(D2),
+    # the value here, and the kernel is never asked an infeasible k
     ks = CLIQUE_STAR_KS[text]
     assert kernel_ks(monkeypatch, gen(text)) == (ks[-1], ks)
 
 
-def test_distance_two_bound_is_computed_only_after_an_infeasible_k(monkeypatch):
+def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch):
     calls = []
 
     def spy(adj):
@@ -374,11 +377,27 @@ def test_distance_two_bound_is_computed_only_after_an_infeasible_k(monkeypatch):
         return distance_two_independence(adj)
 
     monkeypatch.setattr(solver, "distance_two_independence", spy)
-    for text in [f"tchain:{links}" for links in range(2, 13)] + ["cycle:12", "prism:7"]:
-        dc.dom_chromatic(gen(text))
+    for text in ["cycle:12", "prism:7", "bipartite:4x5", "grid:3x4", "tchain:3"]:
+        g = gen(text)
+        lower, upper = solver._component_bounds(g)
+        assert lower == upper
+        dc.dom_chromatic(g)
     assert calls == []
     dc.dom_chromatic(gen("cliquestar:5x3"))
     assert calls == [15]
+
+
+@given(graphs(max_n=8))
+def test_component_bounds_bracket_the_value(g):
+    for comp, _ in dc.components(g):
+        if comp.n < 2:
+            continue
+        lower, upper = solver._component_bounds(comp)
+        value = dc.dom_chromatic_oracle(comp)
+        assert lower <= value <= upper
+        if not any(comp.adj[u] & comp.adj[v] for u, v in comp.edges()):
+            # triangle-free and isolate-free: every N(d) is one class
+            assert upper == dc.total_domination_number(comp).value == value
 
 
 @given(graphs(max_n=7), st.integers(min_value=0, max_value=2))
