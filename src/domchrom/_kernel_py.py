@@ -1,8 +1,10 @@
 """Pure-Python search kernel for dominated k-colorings.
 
-Used when the compiled extension is unavailable or a component has more
-than 64 vertices.  The search must stay behaviorally identical to
-``_kernel.c``: same vertex order, same class order, same first solution.
+The solver uses it when the compiled extension is unavailable or a
+component has more than 64 vertices; ``invariants.chromatic_number``
+always uses it, on the graph plus an apex vertex.  The search must stay
+behaviorally identical to ``_kernel.c``: same vertex order, same class
+order, same first solution.
 """
 
 from __future__ import annotations

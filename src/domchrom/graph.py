@@ -289,6 +289,9 @@ def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     adj = list(g.adj)
     for e in edges:
         u, v = e
+        for w in (u, v):
+            if not (0 <= w < g.n):
+                raise ValueError(f"vertex out of range: {w}")
         if not g.has_edge(u, v):
             raise ValueError(f"edge not in graph: {tuple(e)}")
         adj[u] &= ~(1 << v)

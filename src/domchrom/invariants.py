@@ -1,7 +1,8 @@
 """Exact chromatic, domination and total domination numbers.
 
 These are the classical parameters the library's bounds reference.  The
-chromatic number deepens from a greedy clique up to a greedy coloring;
+chromatic number counts up from a greedy clique to a first-fit coloring,
+asking the dominated-coloring kernel at each k on the graph plus an apex;
 both domination numbers are one exact set-cover search on the symmetric
 neighborhood bitmasks.  At desk scale (around 20 vertices) clarity and
 verifiability beat sophistication.  Every result carries a
@@ -16,8 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Bound at import, not looked up on the module: a tracer that wraps the
+# solver's kernel through ``_kernel_py.find_coloring`` then counts no χ calls.
+from ._kernel_py import find_coloring
 from .errors import UndefinedInvariantError
-from .graph import Graph, bits
+from .graph import Graph, bits, induced
 
 
 @dataclass(frozen=True)
@@ -122,65 +126,48 @@ def distance_two_independence(adj: list[int] | tuple[int, ...]) -> int:
     return independence_number(distance_two_rows(adj), (1 << len(adj)) - 1)
 
 
-def _greedy_coloring(adj, order) -> list[int]:
-    colors = [0] * len(adj)
+def first_fit(adj: list[int] | tuple[int, ...], order) -> list[int]:
+    """Class bitmasks of the first-fit proper coloring: each vertex of
+    ``order`` in turn joins the earliest class holding none of its
+    neighbors, or opens a new class."""
+    classes: list[int] = []
     for v in order:
-        used = 0
-        m = adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            if colors[u]:
-                used |= 1 << colors[u]
-            m &= m - 1
-        c = 1
-        while used >> c & 1:
-            c += 1
-        colors[v] = c
-    return colors
-
-
-def _k_coloring(adj, order, k: int) -> list[int] | None:
-    """Backtracking proper coloring with at most ``k`` colors (1-based)."""
-    n = len(adj)
-    colors = [0] * n
-
-    def rec(i: int, n_used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        forbidden = 0
-        m = adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            if colors[u]:
-                forbidden |= 1 << colors[u]
-            m &= m - 1
-        limit = min(n_used + 1, k)
-        for c in range(1, limit + 1):
-            if forbidden >> c & 1:
-                continue
-            colors[v] = c
-            if rec(i + 1, max(n_used, c)):
-                return True
-        colors[v] = 0
-        return False
-
-    return list(colors) if rec(0, 0) else None
+        for i, mask in enumerate(classes):
+            if not adj[v] & mask:
+                classes[i] = mask | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return classes
 
 
 def chromatic_number(g: Graph) -> InvariantResult:
-    """Minimum colors in a proper coloring, with a witness coloring."""
+    """Minimum colors in a proper coloring, with a witness coloring.
+
+    An apex, a vertex adjacent to every other, dominates every class it is
+    not in, so the dominated colorings of G plus an apex are exactly the
+    proper colorings of G with the apex alone in one more class, and
+    χ(G) = χ_dom(G + apex) - 1.  The kernel sees the apex first, so it
+    takes class 0, then G's vertices in degree-descending order.  Each k
+    from a greedy clique up to the first-fit coloring's size is asked once;
+    if none is feasible, the first-fit coloring is the witness.
+    """
     if g.n == 0:
         return InvariantResult(0, ())
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    greedy = _greedy_coloring(g.adj, order)
-    ub = max(greedy)
-    lb = max(len(greedy_clique(g.adj)), 1)
-    for k in range(lb, ub):
-        witness = _k_coloring(g.adj, order, k)
-        if witness is not None:
-            return InvariantResult(k, tuple(witness))
-    return InvariantResult(ub, tuple(greedy))
+    greedy = first_fit(g.adj, order)
+    colors = [0] * g.n
+    for c, mask in enumerate(greedy, start=1):
+        for v in bits(mask):
+            colors[v] = c
+    apex_adj = [((1 << g.n) - 1) << 1] + [1 | row << 1 for row in induced(g, order).adj]
+    for k in range(max(len(greedy_clique(g.adj)), 1), len(greedy)):
+        found = find_coloring(apex_adj, k + 1)
+        if found is not None:
+            for v, c in zip(order, found[1:]):
+                colors[v] = c
+            return InvariantResult(k, tuple(colors))
+    return InvariantResult(len(greedy), tuple(colors))
 
 
 # -- domination --------------------------------------------------------------

@@ -196,6 +196,21 @@ def test_cli_solve_invariants(capsys):
         assert code == 0 and json.loads(out)["value"] == value
 
 
+@pytest.mark.parametrize(
+    "text,witness",
+    [
+        ("circulant:9:1,3", [1, 2, 1, 2, 3, 2, 3, 1, 3]),
+        ("circulant:11:1,3", [1, 2, 1, 2, 1, 2, 3, 2, 3, 1, 3]),
+        ("cycle:5", [1, 2, 1, 2, 3]),  # k = 2 is refuted; the first-fit witness stays
+    ],
+)
+def test_cli_solve_chi_witness_bytes(text, witness, capsys):
+    code = main(["solve", "--invariant", "chi", text])
+    out, _ = capsys.readouterr()
+    want = {"invariant": "chi", "value": max(witness), "witness": witness}
+    assert code == 0 and out == json.dumps(want, indent=2) + "\n"
+
+
 def test_cli_solve_dimacs_file(tmp_path, capsys):
     doc = tmp_path / "tri.col"
     doc.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")

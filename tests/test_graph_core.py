@@ -121,6 +121,12 @@ def test_delete_absent_edge_raises():
         dc.delete_edges(path(4), [(0, 2)])
 
 
+@pytest.mark.parametrize("edge", [(5, 0), (0, 5), (-1, 1), (1, -1)])
+def test_delete_edges_out_of_range(edge):
+    with pytest.raises(ValueError, match="vertex out of range"):
+        dc.delete_edges(path(3), [edge])
+
+
 @given(graphs())
 def test_deleting_nothing_is_identity(g):
     assert dc.delete_vertices(g, []) == g

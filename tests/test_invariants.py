@@ -102,7 +102,11 @@ def test_distance_two_rows_are_the_second_bfs_layer():
 
 @pytest.mark.parametrize(
     "text,value",
-    [("cycle:5", 3), ("bipartite:3x3", 2), ("complete:6", 6), ("path:7", 2), ("wheel:5", 4)],
+    [
+        ("cycle:5", 3), ("bipartite:3x3", 2), ("complete:6", 6), ("path:7", 2), ("wheel:5", 4),
+        # the graph plus an apex has 64, 65 and 66 vertices
+        ("circulant:63:1,3", 3), ("circulant:64:1,3", 2), ("circulant:65:1,3", 3),
+    ],
 )
 def test_chromatic_examples(text, value):
     g = gen(text)

@@ -11,7 +11,7 @@ import sysconfig
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import domchrom as dc
@@ -418,6 +418,20 @@ def test_full_degree_vertex_forces_chromatic_equality():
     for text in ["wheel:4", "wheel:5", "wheel:6", "star:5", "complete:4", "friendship:3"]:
         g = gen(text)
         assert dc.dom_chromatic(g)[0] == dc.chromatic_number(g).value
+
+
+@given(graphs(max_n=8))
+@example(dc.make_graph(0))
+# a path plus an isolated vertex, where first-fit uses 3 colors: the search must run
+@example(dc.make_graph(7, [(0, 1), (0, 3), (3, 5), (4, 5), (4, 6)]))
+def test_chromatic_number_is_dominated_number_with_an_apex_less_one(g):
+    # an apex dominates every class it is not in, so χ(G) = χ_dom(G + apex) - 1;
+    # the oracle shares no search with chromatic_number, which relies on this
+    apex = dc.make_graph(g.n + 1, list(g.edges()) + [(g.n, v) for v in range(g.n)])
+    res = dc.chromatic_number(g)
+    assert dc.dom_chromatic_oracle(apex) == res.value + 1
+    assert sorted(set(res.witness)) == list(range(1, res.value + 1))
+    assert all(res.witness[u] != res.witness[v] for u, v in g.edges())
 
 
 def test_diameter_two_equality_has_counterexamples():
