@@ -15,6 +15,9 @@ testable.  Canonical vertex numbering per family:
   ``i+1`` is the highest-numbered vertex of block ``i`` for the triangular,
   para-square and ortho-square chains, while the hexagonal chains re-enter
   at the para (distance 3) or meta (distance 2) position of each ring.
+
+The cactus chains and the flowers (friendship graphs included) all come
+from one ring walk, ``_rings``, which also gives the chains' cut vertices.
 """
 
 from __future__ import annotations
@@ -147,7 +150,8 @@ def parse_family_range(text: str) -> list[FamilySpec]:
         lo, sep, hi = token.partition("..")
         try:
             values = list(range(int(lo), int(hi) + 1)) if sep else [int(token)]
-        except ValueError:
+        except (ValueError, OverflowError):
+            # OverflowError: a range too long to list
             values = []
         if not values:
             raise InvalidParameterError(f"bad range token: {token!r}")
@@ -206,17 +210,33 @@ def _wheel(n: int) -> Graph:
     return make_graph(n + 1, edges)
 
 
+def _rings(cycle: tuple[int, ...], exit: int, n: int) -> tuple[Graph, list[int]]:
+    """``n`` cycles glued in a row, each at one vertex of the one before.
+
+    Ring ``i`` is the vertex it shares with ring ``i - 1`` (vertex 0 for the
+    first ring) followed by ``len(cycle) - 1`` fresh vertices numbered on
+    from the last ring's.  ``cycle`` lists the ring's positions in cycle
+    order, and the next ring attaches at position ``exit``.  Returns the
+    graph and each ring's shared vertex.
+    """
+    step = len(cycle) - 1
+    pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+    edges, shared, entry = [], [], 0
+    for base in range(0, n * step, step):
+        ring = [entry, *range(base + 1, base + step + 1)]
+        shared.append(entry)
+        edges += [(ring[a], ring[b]) for a, b in pairs]
+        entry = ring[exit]
+    return make_graph(n * step + 1, edges), shared
+
+
 def _flower(m: int, n: int) -> Graph:
     # n cycles of length m sharing vertex 0
     if m < 3:
         raise InvalidParameterError("flower needs cycle length m >= 3")
     if n < 1:
         raise InvalidParameterError("flower needs n >= 1 cycles")
-    edges = []
-    for i in range(n):
-        ring = [0] + [1 + i * (m - 1) + j for j in range(m - 1)]
-        edges += [(ring[j], ring[(j + 1) % m]) for j in range(m)]
-    return make_graph(n * (m - 1) + 1, edges)
+    return _rings(tuple(range(m)), 0, n)[0]
 
 
 def normalize_connection_set(n: int, values: tuple[int, ...]) -> tuple[int, ...]:
@@ -266,63 +286,23 @@ def _clique_star(m: int, n: int) -> Graph:
     return clique_with_attachments(m, _complete(n), 0)
 
 
-def _triangle_chain(n: int) -> Graph:
-    if n < 1:
-        raise InvalidParameterError("chain length must be >= 1")
-    edges = []
-    for i in range(n):
-        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
-        edges += [(a, b), (a, c), (b, c)]
-    return make_graph(2 * n + 1, edges)
-
-
-def _square_chain(n: int, ortho: bool) -> Graph:
-    if n < 1:
-        raise InvalidParameterError("chain length must be >= 1")
-    edges = []
-    for i in range(n):
-        a, b, c, d = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
-        if ortho:
-            # entry a adjacent to exit d
-            edges += [(a, b), (b, c), (c, d), (d, a)]
-        else:
-            # entry a opposite to exit d
-            edges += [(a, b), (a, c), (b, d), (c, d)]
-    return make_graph(3 * n + 1, edges)
-
-
-def _hex_chain(n: int, exit_pos: int) -> Graph:
-    """Chain of 6-cycles; each ring re-enters at ``exit_pos`` steps from its
-    entry vertex (3 = para, 2 = meta)."""
-    if n < 1:
-        raise InvalidParameterError("chain length must be >= 1")
-    edges = []
-    entry = 0
-    for i in range(1, n + 1):
-        fresh = [5 * i - 4, 5 * i - 3, 5 * i - 2, 5 * i - 1, 5 * i]
-        ring = [entry] + fresh
-        edges += [(ring[j], ring[(j + 1) % 6]) for j in range(6)]
-        entry = ring[exit_pos]
-    return make_graph(5 * n + 1, edges)
+# each cactus chain's ring: its positions in cycle order, and the position
+# at which the next ring attaches
+_CHAINS = {
+    Family.TRIANGLE_CHAIN: ((0, 1, 2), 2),
+    Family.PARA_SQUARE_CHAIN: ((0, 1, 3, 2), 3),
+    Family.ORTHO_SQUARE_CHAIN: ((0, 1, 2, 3), 3),
+    Family.PARA_HEX_CHAIN: (tuple(range(6)), 3),
+    Family.META_HEX_CHAIN: (tuple(range(6)), 2),
+}
 
 
 def chain_cut_vertices(fs: FamilySpec) -> tuple[int, ...]:
     """The cut vertices of a cactus chain spec, in chain order."""
-    n = fs.params[0]
-    if fs.family is Family.TRIANGLE_CHAIN:
-        return tuple(2 * i for i in range(1, n))
-    if fs.family in (Family.PARA_SQUARE_CHAIN, Family.ORTHO_SQUARE_CHAIN):
-        return tuple(3 * i for i in range(1, n))
-    if fs.family in (Family.PARA_HEX_CHAIN, Family.META_HEX_CHAIN):
-        exit_pos = 3 if fs.family is Family.PARA_HEX_CHAIN else 2
-        cuts = []
-        entry = 0
-        for i in range(1, n):
-            ring = [entry] + [5 * i - 4, 5 * i - 3, 5 * i - 2, 5 * i - 1, 5 * i]
-            entry = ring[exit_pos]
-            cuts.append(entry)
-        return tuple(cuts)
-    raise InvalidParameterError(f"not a cactus chain family: {fs.family.value}")
+    if fs.family not in _CHAINS:
+        raise InvalidParameterError(f"not a cactus chain family: {fs.family.value}")
+    # rings 2..n; a chain of fewer than two rings has none
+    return tuple(_rings(*_CHAINS[fs.family], max(fs.params[0], 1))[1][1:])
 
 
 def generate(fs: FamilySpec) -> Graph:
@@ -370,16 +350,10 @@ def generate(fs: FamilySpec) -> Graph:
         return _circulant(p[0], p[1:])
     if f is Family.CLIQUE_STAR:
         return _clique_star(*p)
-    if f is Family.TRIANGLE_CHAIN:
-        return _triangle_chain(*p)
-    if f is Family.PARA_SQUARE_CHAIN:
-        return _square_chain(p[0], ortho=False)
-    if f is Family.ORTHO_SQUARE_CHAIN:
-        return _square_chain(p[0], ortho=True)
-    if f is Family.PARA_HEX_CHAIN:
-        return _hex_chain(p[0], exit_pos=3)
-    if f is Family.META_HEX_CHAIN:
-        return _hex_chain(p[0], exit_pos=2)
+    if f in _CHAINS:
+        if p[0] < 1:
+            raise InvalidParameterError("chain length must be >= 1")
+        return _rings(*_CHAINS[f], p[0])[0]
     raise InvalidParameterError(f"unknown family: {f!r}")
 
 

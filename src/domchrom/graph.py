@@ -49,17 +49,22 @@ class Graph:
 
     # -- basic queries ----------------------------------------------------
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex out of range: {v}")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adj[self._vertex(u)] >> self._vertex(v) & 1)
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[self._vertex(v)].bit_count()
 
     def max_degree(self) -> int:
         return max((m.bit_count() for m in self.adj), default=0)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        return iter(bits(self.adj[v]))
+        return iter(bits(self.adj[self._vertex(v)]))
 
     def edges(self) -> list[Edge]:
         out = []
@@ -279,8 +284,7 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the complement of ``vertices``, densely relabeled."""
     gone = set(vertices)
     for v in gone:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex out of range: {v}")
+        g._vertex(v)  # raises for a vertex out of range
     return induced(g, [v for v in range(g.n) if v not in gone])
 
 
@@ -289,9 +293,6 @@ def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     adj = list(g.adj)
     for e in edges:
         u, v = e
-        for w in (u, v):
-            if not (0 <= w < g.n):
-                raise ValueError(f"vertex out of range: {w}")
         if not g.has_edge(u, v):
             raise ValueError(f"edge not in graph: {tuple(e)}")
         adj[u] &= ~(1 << v)

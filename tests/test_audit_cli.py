@@ -225,6 +225,13 @@ def test_cli_unknown_family_is_usage_error(capsys):
     assert code == 2 and "unknown family" in err
 
 
+def test_cli_audit_range_too_long_to_list_is_usage_error(capsys):
+    code = main(["audit", "--family", "path:1..99999999999999999999"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: bad range token: '1..99999999999999999999'\n"
+
+
 @pytest.mark.parametrize("command", [["solve"], ["perturb", "--mode", "edge"]])
 @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
 def test_cli_missing_file_with_format_is_usage_error(tmp_path, capsys, command, fmt):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import domchrom as dc
@@ -308,6 +310,48 @@ def test_hex_chain_cut_distances():
     assert _dist(g, 0, dc.chain_cut_vertices(dc.spec("parahex", 2))[0]) == 3
     g = dc.generate(dc.spec("metahex", 2))
     assert _dist(g, 0, dc.chain_cut_vertices(dc.spec("metahex", 2))[0]) == 2
+
+
+# sha256 over the edge lists, and for the chains the cut vertices, of
+# chains 1..12, flowers 3..6 x 1..5 and friendship graphs 1..5: the exact
+# vertex labels that gen output, certificates and audit rows depend on
+_LABELS = {
+    "tchain": "0b4bc590d934250f2896ad1b7fae52acb7486727996034195b4790fb94548a22",
+    "parasquare": "d2fdaccb44f89cc5bec883ad919405c600c92c4bcfafde748758523cf1ca3caa",
+    "orthosquare": "6176b38248b5d907be89852686737c05d493a6bb4bbaa80c24dac03d42d415e2",
+    "parahex": "7e2ee4a01ae8dc9a55482b0bcca92a9e26afa0b00dde48e38a3de2c252f2589c",
+    "metahex": "b91090263d9c6e3fc8ee056470f503145ff2caa1e4a7a77e4d31ff29ec60c254",
+    "flower": "dfa13d59d131c28e6dbe81e743e4ccd9d31d25f736c311f2f9e9f6e96c1d302e",
+    "friendship": "913fa7d628276b7f1672c1be1cfc82bfc3b56da23c12d2ed6636c7f2c9a860da",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_LABELS))
+def test_ring_family_labels_are_pinned(family):
+    if family == "flower":
+        texts = [f"flower:{m}x{n}" for m in range(3, 7) for n in range(1, 6)]
+    elif family == "friendship":
+        texts = [f"friendship:{n}" for n in range(1, 6)]
+    else:
+        texts = [f"{family}:{n}" for n in range(1, 13)]
+    h = hashlib.sha256()
+    for text in texts:
+        fs = dc.parse_family(text)
+        h.update(f"{text}\n{dc.format_edge_list(dc.generate(fs))}".encode())
+        if fs.family not in (dc.Family.FLOWER, dc.Family.FRIENDSHIP):
+            h.update(f"cut vertices {dc.chain_cut_vertices(fs)}\n".encode())
+    assert h.hexdigest() == _LABELS[family]
+
+
+@pytest.mark.parametrize("text", ["tchain:0", "tchain:1", "metahex:-1", "parahex:1"])
+def test_chains_of_fewer_than_two_rings_have_no_cut_vertices(text):
+    assert dc.chain_cut_vertices(dc.parse_family(text)) == ()
+
+
+@pytest.mark.parametrize("text", ["path:3", "flower:3x2", "friendship:3"])
+def test_cut_vertices_need_a_chain(text):
+    with pytest.raises(dc.InvalidParameterError, match="not a cactus chain family"):
+        dc.chain_cut_vertices(dc.parse_family(text))
 
 
 # -- circulant reduction -------------------------------------------------------------

@@ -127,6 +127,20 @@ def test_delete_edges_out_of_range(edge):
         dc.delete_edges(path(3), [edge])
 
 
+@pytest.mark.parametrize(
+    "method,args",
+    [
+        ("has_edge", (-1, 1)), ("has_edge", (0, -1)), ("has_edge", (3, 0)),
+        ("has_edge", (0, 3)), ("degree", (-1,)), ("degree", (3,)),
+        ("neighbors", (-1,)), ("neighbors", (3,)),
+    ],
+)
+def test_vertex_queries_reject_out_of_range_vertices(method, args):
+    # a negative vertex would read the last row by negative indexing
+    with pytest.raises(ValueError, match="vertex out of range"):
+        getattr(path(3), method)(*args)
+
+
 @given(graphs())
 def test_deleting_nothing_is_identity(g):
     assert dc.delete_vertices(g, []) == g

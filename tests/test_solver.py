@@ -9,6 +9,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -275,6 +276,30 @@ def test_compiled_kernel_matches_python_kernel(built_kernel):
         cases += [(g.adj, k) for k in (-1, 0, 1, value, value + 1, 64, 65)]
     for adj, k in cases:
         assert built_kernel.find_coloring(adj, k) == _kernel_py.find_coloring(adj, k)
+
+
+def test_compiled_backend_sends_only_components_up_to_64_vertices(built_kernel, monkeypatch):
+    g = gen("cycle:64")
+    for part in (gen("path:65"), gen("path:3"), dc.make_graph(2)):
+        g = dc.disjoint_union(g, part)
+    want = dc.dom_chromatic(g, backend="python")
+    sizes = {"compiled": set(), "python": set()}
+
+    def counted(name, find_coloring):
+        def kernel(adj, k):
+            sizes[name].add(len(adj))
+            return find_coloring(adj, k)
+        return kernel
+
+    compiled = SimpleNamespace(find_coloring=counted("compiled", built_kernel.find_coloring))
+    monkeypatch.setitem(solver._BACKENDS, "compiled", compiled)
+    monkeypatch.setattr(_kernel_py, "find_coloring", counted("python", _kernel_py.find_coloring))
+    k, coloring = dc.dom_chromatic(g, backend="compiled")
+    # the 64-cycle and the 3-path go to the compiled kernel, the 65-path to
+    # the Python one, and the two isolated vertices to neither
+    assert sizes == {"compiled": {64, 3}, "python": {65}}
+    assert (k, coloring) == want and k == 69
+    assert dc.verify(g, coloring) is None
 
 
 def test_compiled_kernel_rejects_what_it_cannot_represent(built_kernel):
