@@ -149,21 +149,25 @@ def chromatic_number(g: Graph) -> InvariantResult:
     proper colorings of G with the apex alone in one more class, and
     χ(G) = χ_dom(G + apex) - 1.  The kernel sees the apex first, so it
     takes class 0, then G's vertices in degree-descending order.  Each k
-    from a greedy clique up to the first-fit coloring's size is asked once.
-    That last k is feasible: every class keeps the apex as a candidate
-    dominator, so the kernel's first coloring there is first-fit itself.
+    from a greedy clique up to the first-fit coloring's size is asked once;
+    if none is feasible, the first-fit coloring is the witness.
     """
     if g.n == 0:
         return InvariantResult(0, ())
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    greedy = first_fit(g.adj, order)
+    colors = [0] * g.n
+    for c, mask in enumerate(greedy, start=1):
+        for v in bits(mask):
+            colors[v] = c
     apex_adj = [((1 << g.n) - 1) << 1] + [1 | row << 1 for row in induced(g, order).adj]
-    for k in range(len(greedy_clique(g.adj)), len(first_fit(g.adj, order)) + 1):
+    for k in range(max(len(greedy_clique(g.adj)), 1), len(greedy)):
         found = find_coloring(apex_adj, k + 1)
         if found is not None:
-            break
-    else:
-        raise AssertionError("the first-fit coloring makes its own size feasible")
-    return InvariantResult(k, tuple(c for _, c in sorted(zip(order, found[1:]))))
+            for v, c in zip(order, found[1:]):
+                colors[v] = c
+            return InvariantResult(k, tuple(colors))
+    return InvariantResult(len(greedy), tuple(colors))
 
 
 # -- domination --------------------------------------------------------------

@@ -290,6 +290,14 @@ def test_cli_budget_exceeded_is_usage_error(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("spec", ["cycle:1000", "path:999"])
+def test_cli_chi_of_long_bipartite_input_needs_no_search(spec, capsys):
+    # A greedy clique of 2 already matches the first-fit coloring, so the
+    # recursive kernel never runs and the input's length does not matter.
+    assert main(["solve", "--invariant", "chi", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2
+
+
 @pytest.mark.parametrize(
     "argv", [["solve", "path:1000"], ["solve", "--invariant", "chi", "cycle:1001"]]
 )

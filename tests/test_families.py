@@ -343,7 +343,7 @@ def test_ring_family_labels_are_pinned(family):
     assert h.hexdigest() == _LABELS[family]
 
 
-@pytest.mark.parametrize("text", ["tchain:0", "tchain:1", "metahex:-1", "parahex:1"])
+@pytest.mark.parametrize("text", ["tchain:0", "metahex:-1"])
 def test_chains_of_fewer_than_two_rings_have_no_cut_vertices(text):
     assert dc.chain_cut_vertices(dc.parse_family(text)) == ()
 
