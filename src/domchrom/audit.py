@@ -1,10 +1,14 @@
 """Adjudication of the closed-form tables against the exact solver.
 
 For every requested family instance the audit records the prediction, the
-solver's ground truth and, on small graphs, the independent brute-force
-oracle.  Rows are never silently corrected: refuted printed values stay
-visible with status ``suspect`` and the errata table supplies the value
-the audit expects instead.
+solver's ground truth and, on graphs of at most ``oracle_cap`` vertices,
+the independent oracle: an exact minimum cover by maximal admissible
+classes that shares no search with the solver (see
+``solver.dom_chromatic_oracle``).  The default cap stays at 10 vertices, so
+the ``oracle`` column of a default report does not change.  Rows are never
+silently corrected: refuted printed values stay visible with status
+``suspect`` and the errata table supplies the value the audit expects
+instead.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ class NoPredictionError(DomchromError, LookupError):
 
 
 class OracleCapError(DomchromError, ValueError):
-    """Graph exceeds the brute-force oracle's vertex cap."""
+    """Graph exceeds the oracle's vertex cap."""
 
 
 class BudgetExceededError(DomchromError, RuntimeError):

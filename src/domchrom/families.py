@@ -170,25 +170,25 @@ def parse_family_range(text: str) -> list[FamilySpec]:
 def _path(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("path needs n >= 1")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return make_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _complete(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError("complete graph needs n >= 1")
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return make_graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def _complete_bipartite(m: int, n: int) -> Graph:
     if m < 1 or n < 1:
         raise InvalidParameterError("complete bipartite graph needs m, n >= 1")
-    return make_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return make_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def _double_star(n1: int, n2: int) -> Graph:
@@ -221,13 +221,18 @@ def _rings(cycle: tuple[int, ...], exit: int, n: int) -> tuple[Graph, list[int]]
     """
     step = len(cycle) - 1
     pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-    edges, shared, entry = [], [], 0
-    for base in range(0, n * step, step):
-        ring = [entry, *range(base + 1, base + step + 1)]
-        shared.append(entry)
-        edges += [(ring[a], ring[b]) for a, b in pairs]
-        entry = ring[exit]
-    return make_graph(n * step + 1, edges), shared
+    shared: list[int] = []
+
+    def edges():
+        entry = 0
+        for base in range(0, n * step, step):
+            ring = [entry, *range(base + 1, base + step + 1)]
+            shared.append(entry)
+            yield from ((ring[a], ring[b]) for a, b in pairs)
+            entry = ring[exit]
+
+    # make_graph sizes its vertex list before it draws the first edge
+    return make_graph(n * step + 1, edges()), shared
 
 
 def _flower(m: int, n: int) -> Graph:
@@ -262,8 +267,7 @@ def _circulant(n: int, conn: tuple[int, ...]) -> Graph:
     if not conn:
         raise InvalidParameterError("circulant graph needs a nonempty connection set")
     folded = normalize_connection_set(n, conn)
-    edges = [(i, (i + a) % n) for a in folded for i in range(n)]
-    return make_graph(n, edges)
+    return make_graph(n, ((i, (i + a) % n) for a in folded for i in range(n)))
 
 
 def clique_with_attachments(m: int, h: Graph, attach_at: int) -> Graph:
@@ -305,8 +309,49 @@ def chain_cut_vertices(fs: FamilySpec) -> tuple[int, ...]:
     return tuple(_rings(*_CHAINS[fs.family], max(fs.params[0], 1))[1][1:])
 
 
+# each family's vertex count from its parameters
+_ORDER = {
+    Family.PATH: lambda n: n,
+    Family.CYCLE: lambda n: n,
+    Family.COMPLETE: lambda n: n,
+    Family.COMPLETE_BIPARTITE: lambda m, n: m + n,
+    Family.STAR: lambda n: n + 1,
+    Family.DOUBLE_STAR: lambda n1, n2: n1 + n2 + 2,
+    Family.LADDER: lambda n: 2 * n,
+    Family.PRISM: lambda n: 2 * n,
+    Family.GRID: lambda m, n: m * n,
+    Family.BOOK: lambda n: 2 * (n + 1),
+    Family.WHEEL: lambda n: n + 1,
+    Family.FRIENDSHIP: lambda n: 2 * n + 1,
+    Family.FLOWER: lambda m, n: n * (m - 1) + 1,
+    Family.CIRCULANT: lambda n, *conn: n,
+    Family.CLIQUE_STAR: lambda m, n: m * n,
+    **{
+        f: lambda n, step=len(cycle) - 1: n * step + 1
+        for f, (cycle, _) in _CHAINS.items()
+    },
+}
+
+
 def generate(fs: FamilySpec) -> Graph:
-    """Build the graph described by a family spec."""
+    """Build the graph described by a family spec.
+
+    The vertex count is read off the parameters before anything is built,
+    and 2^63 or more is refused, as the graph parsers refuse it.  A smaller
+    count that still does not fit in memory fails when the vertex list is
+    sized, before the first edge is drawn; both are parameter errors.
+    """
+    # a negative parameter counts as 0 here and is refused by its builder
+    order = _ORDER[fs.family](*(max(x, 0) for x in fs.params))
+    if order >= 1 << 63:
+        raise InvalidParameterError(f"vertex count too large: {order}")
+    try:
+        return _build(fs)
+    except (MemoryError, OverflowError):
+        raise InvalidParameterError(f"vertex count too large: {order}") from None
+
+
+def _build(fs: FamilySpec) -> Graph:
     f, p = fs.family, fs.params
     if f is Family.PATH:
         return _path(*p)

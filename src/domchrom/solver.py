@@ -1,5 +1,5 @@
 """Dominated colorings: verification, k-colorability, exact minimum, and an
-independent brute-force oracle.
+independent exact oracle.
 
 A dominated coloring is a proper coloring in which every color class lies
 inside the open neighborhood of some vertex (its dominator).  The only
@@ -15,6 +15,13 @@ for the distance-two bound α(D2) before the first search call.
 Two interchangeable search kernels exist: a compiled extension and a pure
 Python fallback.  The compiled one is used when it imports and the
 component has at most 64 vertices; the Python one otherwise.
+
+The oracle takes another route to the same number: a minimum cover of the
+vertices by maximal admissible classes, memoised over the vertex subsets
+left to cover.  It reads only the adjacency masks and shares no search
+with the kernels, the bounds or the γ_t cover, so the two cross-check
+each other; its default cap of 10 vertices keeps audit reports as they
+were.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ if _kernel is not None:
 
 DEFAULT_BACKEND = "compiled" if _kernel is not None else "python"
 
-#: Largest graph the brute-force oracle takes unless told otherwise.
+#: Largest graph the oracle takes unless told otherwise.
 DEFAULT_ORACLE_CAP = 10
 
 
@@ -295,47 +302,61 @@ def exists_k(g: Graph, k: int) -> DomColoring | None:
 
 
 def dom_chromatic_oracle(g: Graph, *, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Ground truth by direct enumeration of vertex-set partitions.
+    """Ground truth by an exact minimum cover over maximal admissible blocks.
 
-    Walks every partition of the vertices into independent blocks (in
-    canonical first-vertex order) and checks the domination condition only
-    at complete partitions, scanning all vertices for each block.  Shares
-    no search logic with the solver.
+    A class is admissible when it is independent and lies inside some open
+    neighborhood N(d), or is the singleton of an isolated vertex.  The
+    blocks are the maximal admissible sets: the maximal independent sets
+    of each G[N(d)], plus each isolated vertex's singleton.  With c(∅) = 0
+    and c(X) = 1 + min c(X minus B) over the blocks B that contain the
+    lowest vertex of X, c(V) is the value.  This is exact because the
+    admissible family is hereditary, so the fewest admissible sets that
+    cover V also partition it (trim each set to what the earlier ones left);
+    every admissible set lies inside some block; and c is monotone under
+    taking subsets, so a class may always grow to a block that contains it.
+    Both recursions are at most n deep, and the memo lives for one call.
+
+    The oracle reads only ``g.adj`` and shares no search logic with the
+    solver's kernel, bounds or γ_t cover.  Its cost grows with the number
+    of subsets the cover reaches, so it refuses graphs above ``cap``
+    vertices; the default of 10 keeps the audit reports' ``oracle``
+    column as it was.
     """
     if g.n > cap:
         raise OracleCapError(f"oracle cap is {cap} vertices, graph has {g.n}")
-    n = g.n
-    if n == 0:
-        return 0
     adj = g.adj
-    best = n + 1
-    block_masks: list[int] = []
+    blocks: set[int] = set()
 
-    def dominated(mask: int) -> bool:
-        if mask & (mask - 1) == 0:  # singleton
-            v = mask.bit_length() - 1
-            if not adj[v]:
-                return True  # exempt isolate
-        return any(adj[d] & mask == mask for d in range(n))
-
-    def rec(v: int) -> None:
-        nonlocal best
-        if len(block_masks) >= best:
+    def maximal(nd: int, chosen: int, blocked: int, cand: int) -> None:
+        # maximal independent sets of G[nd] holding ``chosen``, grown from
+        # ``cand``; ``blocked`` is the neighborhood of ``chosen``
+        if not cand:
+            if not nd & ~chosen & ~blocked:  # nothing of N(d) can be added
+                blocks.add(chosen)
             return
-        if v == n:
-            if all(dominated(mask) for mask in block_masks):
-                best = len(block_masks)
-            return
-        bit = 1 << v
-        for i, mask in enumerate(block_masks):
-            if mask & adj[v]:
-                continue
-            block_masks[i] = mask | bit
-            rec(v + 1)
-            block_masks[i] = mask
-        block_masks.append(bit)
-        rec(v + 1)
-        block_masks.pop()
+        low = cand & -cand
+        v = low.bit_length() - 1
+        maximal(nd, chosen | low, blocked | adj[v], cand & ~low & ~adj[v])
+        if adj[v] & cand:  # else every set without v could still take it
+            maximal(nd, chosen, blocked, cand & ~low)
 
-    rec(0)
-    return best
+    for d, nd in enumerate(adj):
+        if nd:
+            maximal(nd, 0, 0, nd)
+        else:
+            blocks.add(1 << d)  # an isolated vertex's exempt singleton
+    containing: list[list[int]] = [[] for _ in adj]
+    for block in blocks:
+        for v in bits(block):
+            containing[v].append(block)
+    memo = {0: 0}
+
+    def cover(left: int) -> int:
+        best = memo.get(left)
+        if best is None:
+            low = (left & -left).bit_length() - 1
+            best = 1 + min(cover(left & ~block) for block in containing[low])
+            memo[left] = best
+        return best
+
+    return cover((1 << g.n) - 1)

@@ -265,6 +265,17 @@ def test_cli_absurd_vertex_count_is_usage_error(fmt, doc, monkeypatch, capsys):
     assert err == f"error: vertex count too large: {doc.split()[-2]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen", "path:99999999999999999999"], ["solve", "circulant:99999999999999999999:1"]]
+)
+def test_cli_absurd_family_order_is_usage_error(argv, monkeypatch, capsys):
+    # refused from the parameters alone: building anything would raise TypeError
+    monkeypatch.setattr("domchrom.families.make_graph", None)
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: vertex count too large: 99999999999999999999\n"
+
+
 def test_cli_second_dimacs_problem_line_is_usage_error(monkeypatch, capsys):
     doc = "p edge 3 1\ne 1 2\np edge 2 0\n"
     code, out, err = run_cli(["solve", "--format", "dimacs", "-"], doc, monkeypatch, capsys)

@@ -3,8 +3,10 @@ import hashlib
 import pytest
 
 import domchrom as dc
+from domchrom import families
 from domchrom.families import normalize_connection_set
 from domchrom.graph import make_graph
+from corpus import family_corpus
 
 
 def gen(text):
@@ -210,6 +212,36 @@ def test_circulant_rejects_zero_value():
 def test_parameter_domains(text):
     with pytest.raises(dc.InvalidParameterError):
         gen(text)
+
+
+def test_vertex_count_table_matches_every_built_family():
+    for fs in family_corpus(12):
+        assert families._ORDER[fs.family](*fs.params) == dc.generate(fs).n
+
+
+@pytest.mark.parametrize(
+    "text,order",
+    [
+        ("path:99999999999999999999", 99999999999999999999),
+        ("grid:4294967296x2147483648", 1 << 63),
+        ("tchain:4611686018427387904", (1 << 63) + 1),
+        ("circulant:99999999999999999999:1", 99999999999999999999),
+    ],
+)
+def test_vertex_count_of_2_to_the_63_is_refused_before_building(text, order, monkeypatch):
+    monkeypatch.setattr(families, "make_graph", None)  # any build would raise TypeError
+    with pytest.raises(dc.InvalidParameterError, match=f"^vertex count too large: {order}$"):
+        gen(text)
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_a_build_that_runs_out_of_memory_is_a_parameter_error(error, monkeypatch):
+    def make_graph(n, edges):
+        raise error
+
+    monkeypatch.setattr(families, "make_graph", make_graph)
+    with pytest.raises(dc.InvalidParameterError, match="^vertex count too large: 12$"):
+        gen("grid:3x4")
 
 
 # -- cactus chains -----------------------------------------------------------------

@@ -12,11 +12,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import domchrom as dc
 from domchrom import _kernel_py, solver
+from domchrom.graph import bits
 from domchrom.invariants import (
     distance_two_independence,
     greedy_clique,
@@ -432,10 +433,43 @@ def test_distance_two_bound_lies_between_clique_and_value(g, isolates):
     assert len(greedy_clique(g.adj)) <= alpha <= dc.dom_chromatic_oracle(g)
 
 
-@given(graphs(max_n=5), graphs(max_n=5))
-def test_additivity_over_disjoint_union(g, h):
-    ku = dc.dom_chromatic(dc.disjoint_union(g, h))[0]
-    assert ku == dc.dom_chromatic(g)[0] + dc.dom_chromatic(h)[0]
+@given(graphs(max_n=9), graphs(max_n=9), st.integers(min_value=0, max_value=2))
+def test_additivity_over_disjoint_union(g, h, isolates):
+    union = dc.disjoint_union(dc.disjoint_union(g, dc.make_graph(isolates)), h)
+    ku = dc.dom_chromatic(union)[0]
+    assert ku == dc.dom_chromatic(g)[0] + isolates + dc.dom_chromatic(h)[0]
+
+
+# -- metamorphic checks past the oracle's reach ----------------------------------------
+
+
+@given(graphs(max_n=20), st.data())
+def test_relabelling_leaves_the_value_unchanged(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = dc.make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    k, coloring = dc.dom_chromatic(g)
+    kh, coloring_h = dc.dom_chromatic(h)
+    assert kh == k
+    assert dc.verify(h, coloring_h) is None
+    moved = [0] * g.n
+    for v, c in enumerate(coloring.assignment):
+        moved[perm[v]] = c
+    dominators = {c: perm[d] for c, d in coloring.dominators.items()}
+    assert dc.verify(h, DomColoring(tuple(moved), dominators)) is None
+
+
+@given(graphs(max_n=19), st.integers(min_value=0))
+@example(dc.make_graph(2, [(0, 1)]), 0)
+def test_false_twin_leaves_the_value_unchanged(g, pick):
+    # v copies N(u) for a u with neighbors: v joins u's class, and whatever
+    # dominated a class holding v dominates u's class as well
+    hubs = [u for u in range(g.n) if g.adj[u]]
+    assume(hubs)
+    u = hubs[pick % len(hubs)]
+    v = g.n
+    twin = dc.make_graph(v + 1, [*g.edges(), *((v, w) for w in bits(g.adj[u]))])
+    assert twin.adj[v] == g.adj[u] and not twin.adj[u] >> v & 1
+    assert dc.dom_chromatic(twin)[0] == dc.dom_chromatic(g)[0]
 
 
 def test_full_degree_vertex_forces_chromatic_equality():
@@ -492,6 +526,41 @@ def test_diameter_two_equality_has_counterexamples():
 # -- oracle ---------------------------------------------------------------------------
 
 
+def partition_oracle(g):
+    """Reference for the oracle: walk every partition of the vertices into
+    independent blocks, in first-vertex order, and check domination only at
+    complete partitions, scanning all vertices for each block."""
+    n, adj = g.n, g.adj
+    best = n + 1
+    block_masks = []
+
+    def dominated(mask):
+        if mask & (mask - 1) == 0 and not adj[mask.bit_length() - 1]:
+            return True  # exempt isolate
+        return any(adj[d] & mask == mask for d in range(n))
+
+    def rec(v):
+        nonlocal best
+        if len(block_masks) >= best:
+            return
+        if v == n:
+            if all(dominated(mask) for mask in block_masks):
+                best = len(block_masks)
+            return
+        bit = 1 << v
+        for i, mask in enumerate(block_masks):
+            if not mask & adj[v]:
+                block_masks[i] = mask | bit
+                rec(v + 1)
+                block_masks[i] = mask
+        block_masks.append(bit)
+        rec(v + 1)
+        block_masks.pop()
+
+    rec(0)
+    return best
+
+
 @pytest.mark.parametrize("text,value", [("path:5", 3), ("cycle:4", 2), ("star:4", 2)])
 def test_oracle_values(text, value):
     assert dc.dom_chromatic_oracle(gen(text)) == value
@@ -503,6 +572,21 @@ def test_oracle_cap():
     assert dc.dom_chromatic_oracle(gen("path:11"), cap=11) == 6
 
 
-@given(graphs(max_n=7))
+@pytest.mark.parametrize(
+    "text,value", [("path:20", 10), ("grid:4x4", 6), ("friendship:8", 3)]
+)
+def test_oracle_reaches_past_its_default_cap(text, value):
+    assert dc.dom_chromatic_oracle(gen(text), cap=20) == value
+
+
+@given(graphs(max_n=8), st.integers(min_value=0, max_value=2))
+def test_oracle_matches_partition_enumeration(g, isolates):
+    g = dc.disjoint_union(g, dc.make_graph(isolates))
+    assert dc.dom_chromatic_oracle(g) == partition_oracle(g)
+
+
+@given(graphs(max_n=12))
+@example(dc.make_graph(0))
+@example(dc.make_graph(1))
 def test_oracle_matches_solver(g):
-    assert dc.dom_chromatic_oracle(g) == dc.dom_chromatic(g)[0]
+    assert dc.dom_chromatic_oracle(g, cap=12) == dc.dom_chromatic(g)[0]
