@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .errors import InvalidParameterError
 from .graph import Graph, cartesian_product, make_graph, point_attach
@@ -261,11 +262,9 @@ def normalize_connection_set(n: int, values: tuple[int, ...]) -> tuple[int, ...]
     return tuple(sorted(out))
 
 
-def _circulant(n: int, conn: tuple[int, ...]) -> Graph:
+def _circulant(n: int, *conn: int) -> Graph:
     if n < 3:
         raise InvalidParameterError("circulant graph needs n >= 3")
-    if not conn:
-        raise InvalidParameterError("circulant graph needs a nonempty connection set")
     folded = normalize_connection_set(n, conn)
     return make_graph(n, ((i, (i + a) % n) for a in folded for i in range(n)))
 
@@ -309,25 +308,70 @@ def chain_cut_vertices(fs: FamilySpec) -> tuple[int, ...]:
     return tuple(_rings(*_CHAINS[fs.family], max(fs.params[0], 1))[1][1:])
 
 
-# each family's vertex count from its parameters
-_ORDER = {
-    Family.PATH: lambda n: n,
-    Family.CYCLE: lambda n: n,
-    Family.COMPLETE: lambda n: n,
-    Family.COMPLETE_BIPARTITE: lambda m, n: m + n,
-    Family.STAR: lambda n: n + 1,
-    Family.DOUBLE_STAR: lambda n1, n2: n1 + n2 + 2,
-    Family.LADDER: lambda n: 2 * n,
-    Family.PRISM: lambda n: 2 * n,
-    Family.GRID: lambda m, n: m * n,
-    Family.BOOK: lambda n: 2 * (n + 1),
-    Family.WHEEL: lambda n: n + 1,
-    Family.FRIENDSHIP: lambda n: 2 * n + 1,
-    Family.FLOWER: lambda m, n: n * (m - 1) + 1,
-    Family.CIRCULANT: lambda n, *conn: n,
-    Family.CLIQUE_STAR: lambda m, n: m * n,
+def _star(n: int) -> Graph:
+    if n < 1:
+        raise InvalidParameterError("star needs n >= 1 leaves")
+    return _complete_bipartite(1, n)
+
+
+def _ladder(n: int) -> Graph:
+    if n < 1:
+        raise InvalidParameterError("ladder needs n >= 1")
+    return cartesian_product(_path(2), _path(n))
+
+
+def _prism(n: int) -> Graph:
+    if n < 3:
+        raise InvalidParameterError("prism needs n >= 3")
+    return cartesian_product(_path(2), _cycle(n))
+
+
+def _grid(m: int, n: int) -> Graph:
+    if m < 1 or n < 1:
+        raise InvalidParameterError("grid needs m, n >= 1")
+    return cartesian_product(_path(m), _path(n))
+
+
+def _book(n: int) -> Graph:
+    if n < 1:
+        raise InvalidParameterError("book needs n >= 1 pages")
+    return cartesian_product(_complete_bipartite(1, n), _path(2))
+
+
+def _friendship(n: int) -> Graph:
+    if n < 1:
+        raise InvalidParameterError("friendship graph needs n >= 1")
+    return _flower(3, n)
+
+
+def _chain(family: Family):
+    def build(n: int) -> Graph:
+        if n < 1:
+            raise InvalidParameterError("chain length must be >= 1")
+        return _rings(*_CHAINS[family], n)[0]
+
+    return build
+
+
+# each family's vertex count from its parameters, and its builder
+_FAMILIES: dict[Family, tuple[Callable[..., int], Callable[..., Graph]]] = {
+    Family.PATH: (lambda n: n, _path),
+    Family.CYCLE: (lambda n: n, _cycle),
+    Family.COMPLETE: (lambda n: n, _complete),
+    Family.COMPLETE_BIPARTITE: (lambda m, n: m + n, _complete_bipartite),
+    Family.STAR: (lambda n: n + 1, _star),
+    Family.DOUBLE_STAR: (lambda n1, n2: n1 + n2 + 2, _double_star),
+    Family.LADDER: (lambda n: 2 * n, _ladder),
+    Family.PRISM: (lambda n: 2 * n, _prism),
+    Family.GRID: (lambda m, n: m * n, _grid),
+    Family.BOOK: (lambda n: 2 * (n + 1), _book),
+    Family.WHEEL: (lambda n: n + 1, _wheel),
+    Family.FRIENDSHIP: (lambda n: 2 * n + 1, _friendship),
+    Family.FLOWER: (lambda m, n: n * (m - 1) + 1, _flower),
+    Family.CIRCULANT: (lambda n, *conn: n, _circulant),
+    Family.CLIQUE_STAR: (lambda m, n: m * n, _clique_star),
     **{
-        f: lambda n, step=len(cycle) - 1: n * step + 1
+        f: (lambda n, step=len(cycle) - 1: n * step + 1, _chain(f))
         for f, (cycle, _) in _CHAINS.items()
     },
 }
@@ -341,65 +385,15 @@ def generate(fs: FamilySpec) -> Graph:
     count that still does not fit in memory fails when the vertex list is
     sized, before the first edge is drawn; both are parameter errors.
     """
+    order_of, build = _FAMILIES[fs.family]
     # a negative parameter counts as 0 here and is refused by its builder
-    order = _ORDER[fs.family](*(max(x, 0) for x in fs.params))
+    order = order_of(*(max(x, 0) for x in fs.params))
     if order >= 1 << 63:
         raise InvalidParameterError(f"vertex count too large: {order}")
     try:
-        return _build(fs)
+        return build(*fs.params)
     except (MemoryError, OverflowError):
         raise InvalidParameterError(f"vertex count too large: {order}") from None
-
-
-def _build(fs: FamilySpec) -> Graph:
-    f, p = fs.family, fs.params
-    if f is Family.PATH:
-        return _path(*p)
-    if f is Family.CYCLE:
-        return _cycle(*p)
-    if f is Family.COMPLETE:
-        return _complete(*p)
-    if f is Family.COMPLETE_BIPARTITE:
-        return _complete_bipartite(*p)
-    if f is Family.STAR:
-        if p[0] < 1:
-            raise InvalidParameterError("star needs n >= 1 leaves")
-        return _complete_bipartite(1, p[0])
-    if f is Family.DOUBLE_STAR:
-        return _double_star(*p)
-    if f is Family.LADDER:
-        if p[0] < 1:
-            raise InvalidParameterError("ladder needs n >= 1")
-        return cartesian_product(_path(2), _path(p[0]))
-    if f is Family.PRISM:
-        if p[0] < 3:
-            raise InvalidParameterError("prism needs n >= 3")
-        return cartesian_product(_path(2), _cycle(p[0]))
-    if f is Family.GRID:
-        if p[0] < 1 or p[1] < 1:
-            raise InvalidParameterError("grid needs m, n >= 1")
-        return cartesian_product(_path(p[0]), _path(p[1]))
-    if f is Family.BOOK:
-        if p[0] < 1:
-            raise InvalidParameterError("book needs n >= 1 pages")
-        return cartesian_product(_complete_bipartite(1, p[0]), _path(2))
-    if f is Family.WHEEL:
-        return _wheel(*p)
-    if f is Family.FRIENDSHIP:
-        if p[0] < 1:
-            raise InvalidParameterError("friendship graph needs n >= 1")
-        return _flower(3, p[0])
-    if f is Family.FLOWER:
-        return _flower(*p)
-    if f is Family.CIRCULANT:
-        return _circulant(p[0], p[1:])
-    if f is Family.CLIQUE_STAR:
-        return _clique_star(*p)
-    if f in _CHAINS:
-        if p[0] < 1:
-            raise InvalidParameterError("chain length must be >= 1")
-        return _rings(*_CHAINS[f], p[0])[0]
-    raise InvalidParameterError(f"unknown family: {f!r}")
 
 
 # -- circulant isomorphism reduction ----------------------------------------

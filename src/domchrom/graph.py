@@ -489,9 +489,12 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
                 raise GraphFormatError(f"bad problem line: {line}")
             try:
-                n = int(parts[2])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"bad problem line: {line}") from exc
+            if m < 0:
+                # the edge count is read but not matched against the e lines
+                raise GraphFormatError(f"bad problem line: {line}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError("edge line before problem line")

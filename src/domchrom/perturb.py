@@ -5,7 +5,8 @@ bondage the minimum number of edge deletions.  Both are computed by
 exhaustive minimal-cardinality sweeps in lexicographic order, so the
 reported witness is the first one of minimum size and runs are
 reproducible.  Deleted-vertex/edge witnesses are reported in the labels
-of the input graph.
+of the input graph.  The printed stability and bondage tables that these
+sweeps check live in :mod:`.predictions`.
 
 The sweep solves one subset per orbit of the graph's automorphism group.
 If an automorphism maps ``S`` to ``S'``, then ``G - S`` and ``G - S'`` are
@@ -23,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BudgetExceededError, Deadline, NoPredictionError
-from .families import Family, FamilySpec
+from .errors import BudgetExceededError, Deadline
 from .graph import (
     Graph,
     automorphism_generators,
@@ -33,7 +33,6 @@ from .graph import (
     delete_vertices,
     induced,
 )
-from .predictions import PROVED, SUSPECT, Prediction
 from .solver import dom_chromatic
 
 #: Default complexity-guard caps for the exhaustive sweeps.
@@ -160,108 +159,3 @@ def dom_bondage(
             f"bondage sweep refused: {len(edges)} edges exceeds the cap of {max_edges}"
         )
     return _sweep(g, "edge", edges, delete_edges, budget_ms, backend)
-
-
-# -- closed-form stability/bondage tables -------------------------------------
-
-
-def predict_stability(fs: FamilySpec) -> Prediction:
-    """Closed-form stability prediction for the supported families."""
-    f, p = fs.family, fs.params
-
-    if f is Family.PATH:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("path stability rule needs n >= 4")
-        return Prediction(
-            "exact", PROVED, "path stability rule", value=2 if n % 4 == 3 else 1
-        )
-
-    if f is Family.CYCLE:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("cycle stability rule needs n >= 4")
-        if n % 4 == 0:
-            value = 3
-        elif n % 4 == 3:
-            value = 2
-        else:
-            value = 1
-        return Prediction("exact", PROVED, "cycle stability rule", value=value)
-
-    if f in (Family.FRIENDSHIP, Family.WHEEL, Family.FLOWER, Family.BOOK):
-        if f is Family.WHEEL:
-            if p[0] < 3:
-                raise NoPredictionError("wheel stability rule needs n >= 3")
-        elif f is Family.FLOWER:
-            if p[0] < 3 or p[1] < 2:
-                raise NoPredictionError("flower stability rule needs m >= 3, n >= 2")
-        elif p[0] < 2:
-            raise NoPredictionError("stability rule needs n >= 2")
-        return Prediction("exact", PROVED, "single-vertex stability family", value=1)
-
-    if f is Family.COMPLETE_BIPARTITE:
-        m, n = p
-        if m != n or n < 2:
-            raise NoPredictionError("balanced-sides stability rule needs m = n >= 2")
-        if n == 2:
-            # the graph is the 4-cycle, whose stability is 3; the printed
-            # side-removal argument does not change the value at n = 2
-            return Prediction(
-                "exact",
-                SUSPECT,
-                "balanced bipartite stability rule",
-                value=2,
-                note="conflicts with the cycle rule on the same graph",
-            )
-        return Prediction("exact", PROVED, "balanced bipartite stability rule", value=n)
-
-    raise NoPredictionError(f"no stability rule for family {f.value!r}")
-
-
-def predict_bondage(fs: FamilySpec) -> Prediction:
-    """Closed-form bondage prediction for the supported families."""
-    f, p = fs.family, fs.params
-
-    if f is Family.PATH:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("path bondage rule needs n >= 4")
-        return Prediction(
-            "exact", PROVED, "path bondage rule", value=2 if n % 4 == 2 else 1
-        )
-
-    if f is Family.CYCLE:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("cycle bondage rule needs n >= 4")
-        return Prediction(
-            "exact", PROVED, "cycle bondage rule", value=3 if n % 4 == 2 else 2
-        )
-
-    if f is Family.FRIENDSHIP:
-        (n,) = p
-        if n < 2:
-            raise NoPredictionError("friendship bondage rule needs n >= 2")
-        return Prediction(
-            "exact",
-            SUSPECT,
-            "friendship bondage rule",
-            value=1,
-            note="after any single edge removal a dominated 3-coloring "
-            "still exists, so the true value exceeds the printed 1",
-        )
-
-    if f is Family.BOOK:
-        (n,) = p
-        if n < 2:
-            raise NoPredictionError("book bondage rule needs n >= 2")
-        return Prediction("exact", PROVED, "book bondage rule", value=1)
-
-    if f is Family.COMPLETE_BIPARTITE:
-        m, n = p
-        if m < n or n < 1:
-            raise NoPredictionError("bipartite bondage rule needs m >= n >= 1")
-        return Prediction("exact", PROVED, "bipartite bondage rule", value=n)
-
-    raise NoPredictionError(f"no bondage rule for family {f.value!r}")

@@ -115,14 +115,17 @@ class Violation:
 def verify(g: Graph, coloring: DomColoring) -> Violation | None:
     """Check a certificate against the graph; ``None`` means accepted.
 
-    Malformed certificates (wrong length, colors not dense ``1..k``, a
-    dominator that is not a vertex or whose color has no class) raise
-    ``ValueError``; violations of properness or domination are reported,
-    first one wins.
+    Malformed certificates (wrong length, a color or dominator that is not
+    an ``int``, colors not dense ``1..k``, a dominator that is not a vertex
+    or whose color has no class) raise ``ValueError``; violations of
+    properness or domination are reported, first one wins.
     """
     assignment = coloring.assignment
     if len(assignment) != g.n:
         raise ValueError("assignment does not cover the vertex set")
+    labels = (*assignment, *coloring.dominators, *coloring.dominators.values())
+    if not all(isinstance(x, int) for x in labels):
+        raise ValueError("colors and dominators must be integers")
     k = max(assignment, default=0)
     if g.n and sorted(set(assignment)) != list(range(1, k + 1)):
         raise ValueError(f"colors are not dense 1..{k}")

@@ -6,9 +6,13 @@ vertex cap; the random corpus is seeded so runs are reproducible.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
 
 import domchrom as dc
+from domchrom.families import _TWO_PARAM
 from domchrom.graph import Graph, make_graph
 
 
@@ -78,6 +82,54 @@ def audited_corpus(max_n: int) -> list[dc.FamilySpec]:
             continue
         out.append(fs)
     return out
+
+
+# circulant connection sets: folded, unfolded, reducible, negative and loops
+_CONNECTION_SETS = (
+    (1,), (2,), (-1,), (-3,), (0,), (1, 2), (1, 3), (3, 1), (2, 3), (2, 6),
+    (1, 4), (1, 3, 5),
+)
+
+# vertex counts of 2^63 or more, refused before anything is built
+_HUGE = [
+    dc.spec("path", 1 << 63),
+    dc.spec("grid", 1 << 32, 1 << 31),
+    dc.spec("tchain", 1 << 62),
+    dc.spec("circulant", 1 << 63, 1, 3),
+]
+
+
+def parameter_corpus(lo: int, hi: int, orders: range) -> list[dc.FamilySpec]:
+    """Every family with each parameter in ``lo..hi``, out-of-domain and
+    negative values included; circulants of the given orders over a fixed
+    list of connection sets; and a few specs too large to build."""
+    specs = list(_HUGE)
+    for family in dc.Family:
+        if family is dc.Family.CIRCULANT:
+            specs += [
+                dc.spec(family, n, *conn) for n in orders for conn in _CONNECTION_SETS
+            ]
+            continue
+        arity = 2 if family in _TWO_PARAM else 1
+        specs += [
+            dc.spec(family, *params)
+            for params in itertools.product(range(lo, hi + 1), repeat=arity)
+        ]
+    return specs
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except dc.DomchromError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def digest(rows) -> str:
+    """sha256 of the sorted JSON encodings of ``rows``."""
+    text = json.dumps(sorted(json.dumps(row) for row in rows))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -283,6 +283,13 @@ def test_cli_second_dimacs_problem_line_is_usage_error(monkeypatch, capsys):
     assert err == "error: duplicate problem line\n"
 
 
+def test_cli_dimacs_edge_count_that_is_not_a_number_is_usage_error(monkeypatch, capsys):
+    doc = "p edge 3 x\ne 1 2\n"
+    code, out, err = run_cli(["solve", "--format", "dimacs", "-"], doc, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: bad problem line: p edge 3 x\n"
+
+
 def test_cli_directory_target_is_usage_error(tmp_path, capsys):
     code = main(["solve", str(tmp_path)])
     _, err = capsys.readouterr()
@@ -369,6 +376,26 @@ def test_cli_audit_multiple_families(capsys):
     assert [r["spec"] for r in payload["instances"]] == [
         "path:4", "path:5", "path:6", "wheel:4", "wheel:5",
     ]
+
+
+@pytest.mark.parametrize(
+    "text", ["circulant:0:1", "circulant:1:1", "circulant:2:1", "circulant:-5:1"]
+)
+def test_cli_audit_skips_circulants_below_three_vertices(text, capsys):
+    code = main(["audit", "--family", text])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)["instances"]
+    assert row["skip"] == "no rule: circulant rule needs n >= 3"
+
+
+@pytest.mark.parametrize("command", [["gen"], ["audit", "--family"]])
+@pytest.mark.parametrize("text,n", [("circulant:3:1,3", 3), ("circulant:7:0", 7)])
+def test_cli_circulant_loop_value_is_usage_error(command, text, n, capsys):
+    code = main(command + [text])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: connection value {text[-1]} is divisible by {n} (loop)\n"
 
 
 def test_cli_perturb_vertex(capsys):

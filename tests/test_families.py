@@ -6,7 +6,7 @@ import domchrom as dc
 from domchrom import families
 from domchrom.families import normalize_connection_set
 from domchrom.graph import make_graph
-from corpus import family_corpus
+from corpus import digest, family_corpus, outcome, parameter_corpus
 
 
 def gen(text):
@@ -216,7 +216,7 @@ def test_parameter_domains(text):
 
 def test_vertex_count_table_matches_every_built_family():
     for fs in family_corpus(12):
-        assert families._ORDER[fs.family](*fs.params) == dc.generate(fs).n
+        assert families._FAMILIES[fs.family][0](*fs.params) == dc.generate(fs).n
 
 
 @pytest.mark.parametrize(
@@ -373,6 +373,19 @@ def test_ring_family_labels_are_pinned(family):
         if fs.family not in (dc.Family.FLOWER, dc.Family.FRIENDSHIP):
             h.update(f"cut vertices {dc.chain_cut_vertices(fs)}\n".encode())
     assert h.hexdigest() == _LABELS[family]
+
+
+# sha256 over the edge list of every spec in parameter_corpus(-2, 12,
+# range(3, 26)), or its error type and message
+_GRAPHS_DIGEST = "d263490dae91ae99dc1711a4c6389e346023ad4aef6f7dc708566dadf72ce8a1"
+
+
+def test_every_generated_graph_is_pinned():
+    rows = [
+        [str(f), outcome(lambda fs: dc.format_edge_list(dc.generate(fs)), f)]
+        for f in parameter_corpus(-2, 12, range(3, 26))
+    ]
+    assert digest(rows) == _GRAPHS_DIGEST
 
 
 @pytest.mark.parametrize("text", ["tchain:0", "metahex:-1"])

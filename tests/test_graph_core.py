@@ -442,6 +442,17 @@ def test_parse_dimacs_rejects_second_problem_line():
         dc.parse_dimacs("p edge 3 1\ne 1 2\np edge 2 0\n")
 
 
+@pytest.mark.parametrize("count", ["x", "-1", "1.5", ""])
+def test_parse_dimacs_needs_a_non_negative_edge_count(count):
+    line = f"p edge 3 {count}".rstrip()
+    with pytest.raises(dc.GraphFormatError, match=f"^bad problem line: {line}$"):
+        dc.parse_dimacs(f"{line}\ne 1 2\n")
+
+
+def test_parse_dimacs_does_not_match_the_edge_count():
+    assert dc.parse_dimacs("p edge 3 5\ne 1 2\ne 2 3\n") == path(3)
+
+
 @pytest.mark.parametrize(
     "parse,doc",
     [

@@ -1,9 +1,12 @@
 """Closed-form tables, bound intervals, errata behavior."""
 
+from dataclasses import asdict
+
 import pytest
 
 import domchrom as dc
 from domchrom.predictions import PROVED, SUSPECT
+from corpus import digest, outcome, parameter_corpus
 
 
 def fs(text):
@@ -41,6 +44,21 @@ def fs(text):
 )
 def test_predicted_values(text, value):
     assert dc.predict_dom_chromatic(fs(text)).value == value
+
+
+# sha256 over the result of every printed rule, or its error type and
+# message, on parameter_corpus(-2, 12, range(3, 26)): values, statuses,
+# notes and the messages of out-of-domain parameters
+_RULES_DIGEST = "63dc1e36ee7aab07b526849c201821a6d70a348d337092d2194da9b10e8be594"
+
+
+def test_every_printed_rule_is_pinned():
+    rows = []
+    for f in parameter_corpus(-2, 12, range(3, 26)):
+        for rule in (dc.predict_dom_chromatic, dc.predict_stability, dc.predict_bondage):
+            got = outcome(rule, f)
+            rows.append([rule.__name__, str(f), got if isinstance(got, str) else asdict(got)])
+    assert digest(rows) == _RULES_DIGEST
 
 
 def test_unsupported_family_raises():
@@ -100,6 +118,14 @@ def test_two_value_circulant_rules(n):
 
 def test_circulant_singleton_set_uses_cycle_rule():
     assert dc.predict_dom_chromatic(fs("circulant:9:1")).value == 5
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1, 2])
+def test_circulant_rule_needs_three_vertices(n):
+    f = dc.spec("circulant", n, 1)
+    assert dc.erratum_for(f) is None
+    with pytest.raises(dc.NoPredictionError, match=r"^circulant rule needs n >= 3$"):
+        dc.predict_dom_chromatic(f)
 
 
 def test_prism_prediction_equals_ladder():

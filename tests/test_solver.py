@@ -110,6 +110,19 @@ def test_verify_raises_on_dominator_for_a_color_without_class(color):
         dc.verify(g, DomColoring((1, 2, 1), {1: 1, 2: 0, color: 2}))
 
 
+@pytest.mark.parametrize(
+    "coloring",
+    [
+        DomColoring((1, 2.0, 1), {1: 1, 2: 0}),  # float color
+        DomColoring((1, 2, 1), {1: 1.0, 2: 0}),  # float dominator
+        DomColoring((1, 2, 1), {"1": 1, "2": 0}),  # color keys as in solve's JSON
+    ],
+)
+def test_verify_raises_on_a_color_or_dominator_that_is_not_an_int(coloring):
+    with pytest.raises(ValueError, match="must be integers"):
+        dc.verify(gen("path:3"), coloring)
+
+
 # -- exists_k ---------------------------------------------------------------------
 
 
@@ -443,19 +456,37 @@ def test_additivity_over_disjoint_union(g, h, isolates):
 # -- metamorphic checks past the oracle's reach ----------------------------------------
 
 
-@given(graphs(max_n=20), st.data())
-def test_relabelling_leaves_the_value_unchanged(g, data):
-    perm = data.draw(st.permutations(range(g.n)))
-    h = dc.make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+def _relabelled(g, perm):
+    return dc.make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _moved(coloring, perm):
+    """The certificate ``coloring`` carried along the relabelling ``perm``."""
+    assignment = [0] * len(perm)
+    for v, c in enumerate(coloring.assignment):
+        assignment[perm[v]] = c
+    return DomColoring(
+        tuple(assignment), {c: perm[d] for c, d in coloring.dominators.items()}
+    )
+
+
+def _with_false_twin(g, u):
+    """``g`` plus a vertex ``g.n`` with the neighbors of ``u``."""
+    return dc.make_graph(g.n + 1, [*g.edges(), *((g.n, w) for w in bits(g.adj[u]))])
+
+
+def _assert_relabelling_keeps_the_value(g, perm):
+    h = _relabelled(g, perm)
     k, coloring = dc.dom_chromatic(g)
     kh, coloring_h = dc.dom_chromatic(h)
     assert kh == k
     assert dc.verify(h, coloring_h) is None
-    moved = [0] * g.n
-    for v, c in enumerate(coloring.assignment):
-        moved[perm[v]] = c
-    dominators = {c: perm[d] for c, d in coloring.dominators.items()}
-    assert dc.verify(h, DomColoring(tuple(moved), dominators)) is None
+    assert dc.verify(h, _moved(coloring, perm)) is None
+
+
+@given(graphs(max_n=20), st.data())
+def test_relabelling_leaves_the_value_unchanged(g, data):
+    _assert_relabelling_keeps_the_value(g, data.draw(st.permutations(range(g.n))))
 
 
 @given(graphs(max_n=19), st.integers(min_value=0))
@@ -466,10 +497,64 @@ def test_false_twin_leaves_the_value_unchanged(g, pick):
     hubs = [u for u in range(g.n) if g.adj[u]]
     assume(hubs)
     u = hubs[pick % len(hubs)]
-    v = g.n
-    twin = dc.make_graph(v + 1, [*g.edges(), *((v, w) for w in bits(g.adj[u]))])
-    assert twin.adj[v] == g.adj[u] and not twin.adj[u] >> v & 1
+    twin = _with_false_twin(g, u)
+    assert twin.adj[g.n] == g.adj[u] and not twin.adj[u] >> g.n & 1
     assert dc.dom_chromatic(twin)[0] == dc.dom_chromatic(g)[0]
+
+
+# Family instances of 21 to 35 vertices.  Solve time depends heavily on the
+# labels (ladder:18 solves in milliseconds as generated and in seconds
+# relabelled), so the permutations are seeded, not drawn, and each instance
+# here solves in milliseconds under every one of them.
+_LARGE = [
+    "tchain:10", "circulant:21:1,3", "circulant:24:1,3", "prism:12", "ladder:12",
+    "grid:4x6", "cliquestar:3x8", "grid:5x5", "parasquare:8", "orthosquare:8",
+    "flower:4x8", "parahex:5", "metahex:5", "circulant:27:1,3", "cycle:30",
+    "path:30", "circulant:30:1,3", "wheel:30", "book:16", "friendship:17",
+]
+
+
+def _permutation(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+@pytest.mark.parametrize("text", _LARGE)
+def test_relabelling_large_family_instances(text):
+    g = gen(text)
+    for seed in range(3):
+        _assert_relabelling_keeps_the_value(g, _permutation(g.n, seed))
+
+
+@pytest.mark.parametrize("text", _LARGE)
+def test_false_twin_in_large_family_instances(text):
+    g = gen(text)
+    k = dc.dom_chromatic(g)[0]
+    for seed in range(3):
+        u = random.Random(seed).choice([u for u in range(g.n) if g.adj[u]])
+        assert dc.dom_chromatic(_with_false_twin(g, u))[0] == k
+
+
+@pytest.mark.parametrize(
+    "first,isolates,second",
+    [
+        ("tchain:10", 0, "cycle:5"),
+        ("prism:12", 1, "path:7"),
+        ("circulant:21:1,3", 2, "tchain:5"),
+        ("wheel:20", 1, "grid:3x4"),
+        ("book:8", 2, "friendship:5"),
+        ("cliquestar:3x6", 0, "metahex:2"),
+    ],
+)
+def test_additivity_over_large_disjoint_unions(first, isolates, second):
+    # 26 to 34 vertices, relabelled so that the components interleave
+    g, h = gen(first), gen(second)
+    union = dc.disjoint_union(dc.disjoint_union(g, dc.make_graph(isolates)), h)
+    union = _relabelled(union, _permutation(union.n, isolates))
+    k, coloring = dc.dom_chromatic(union)
+    assert k == dc.dom_chromatic(g)[0] + isolates + dc.dom_chromatic(h)[0]
+    assert dc.verify(union, coloring) is None
 
 
 def test_full_degree_vertex_forces_chromatic_equality():
