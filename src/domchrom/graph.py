@@ -369,30 +369,22 @@ def r_glue(g: Graph, h: Graph, clique_g: Sequence[int], clique_h: Sequence[int])
 # -- traversal ------------------------------------------------------------
 
 
-def _bfs_masks(adj: Sequence[int], start: int) -> list[int]:
-    """Distance list from ``start`` (-1 for unreachable)."""
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    frontier = 1 << start
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
+def _bfs_layers(adj: Sequence[int], start: int) -> Iterator[int]:
+    """Breadth-first layers from ``start`` as bitmasks: ``1 << start``,
+    then the vertices at distance 1, 2, ... from it, ending with the last
+    non-empty layer.  The layers are disjoint, and their union is the
+    component of ``start``."""
+    seen = layer = 1 << start
+    while layer:
+        yield layer
         nxt = 0
-        m = frontier
+        m = layer
         while m:
             v = (m & -m).bit_length() - 1
             nxt |= adj[v]
             m &= m - 1
-        nxt &= ~seen
-        m = nxt
-        while m:
-            v = (m & -m).bit_length() - 1
-            dist[v] = d
-            m &= m - 1
-        seen |= nxt
-        frontier = nxt
-    return dist
+        layer = nxt & ~seen
+        seen |= layer
 
 
 def diameter(g: Graph) -> int | float:
@@ -400,12 +392,13 @@ def diameter(g: Graph) -> int | float:
     disconnected.  Graphs with fewer than two vertices have diameter 0."""
     if g.n <= 1:
         return 0
+    full = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        dist = _bfs_masks(g.adj, v)
-        if min(dist) < 0:
+        layers = list(_bfs_layers(g.adj, v))
+        if sum(layers) != full:  # disjoint layers, so the sum is the union
             return math.inf
-        best = max(best, max(dist))
+        best = max(best, len(layers) - 1)
     return best
 
 
@@ -420,10 +413,9 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     for v in range(g.n):
         if seen >> v & 1:
             continue
-        dist = _bfs_masks(g.adj, v)
-        members = [u for u, d in enumerate(dist) if d >= 0]
-        for u in members:
-            seen |= 1 << u
+        reached = sum(_bfs_layers(g.adj, v))  # disjoint layers
+        seen |= reached
+        members = bits(reached)
         out.append((induced(g, members), tuple(members)))
     return out
 

@@ -2,6 +2,13 @@
 stability and bondage of each family, the structural bounds used to
 sandwich the value, and the errata that refute printed values.
 
+The printed values are three tables keyed by family: ``_DOM_RULES``,
+``_STABILITY_RULES`` and ``_BONDAGE_RULES``.  A row takes the instance's
+parameters and returns its prediction, or raises
+:class:`NoPredictionError` for parameters outside the rule's domain.  A
+rule in one parameter with a fixed status is built by ``_one_param``;
+rules with more logic are named functions.
+
 Each prediction carries a provenance status so the audit can adjudicate
 rather than silently correct:
 
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import gcd
+from typing import Callable
 
 from .errors import NoPredictionError, UndefinedInvariantError
 from .families import Family, FamilySpec, circulant_reduce, normalize_connection_set
@@ -114,6 +122,31 @@ def erratum_for(fs: FamilySpec) -> Erratum | None:
 # -- per-family rules --------------------------------------------------------
 
 
+def _one_param(
+    least: int, name: str, rule: str, value: Callable[[int], int],
+    status: str = PROVED, note: str = "",
+) -> Callable[[int], Prediction]:
+    """The row of a rule in one parameter ``n >= least`` with value
+    ``value(n)`` and a fixed status."""
+
+    def predict(n: int) -> Prediction:
+        if n < least:
+            raise NoPredictionError(f"{name} rule needs n >= {least}")
+        return Prediction("exact", status, rule, value=value(n), note=note)
+
+    return predict
+
+
+def _lookup(
+    rules: dict[Family, Callable[..., Prediction]], what: str, fs: FamilySpec
+) -> Prediction:
+    """The prediction of ``fs``'s row in ``rules``, applied to its parameters."""
+    rule = rules.get(fs.family)
+    if rule is None:
+        raise NoPredictionError(f"no {what} for family {fs.family.value!r}")
+    return rule(*fs.params)
+
+
 def _path_cycle_value(n: int) -> int:
     return n // 2 if n % 4 == 0 else n // 2 + 1
 
@@ -127,6 +160,30 @@ def _ladder_suspicious(n: int) -> bool:
     # least ceil(2n/3) classes; the printed formula dips below that for
     # n = 3t + 1 >= 4
     return n >= 3 and _ladder_value(n) < -(-2 * n // 3)
+
+
+def _two_sides(*sides: int) -> Prediction:
+    if any(x < 1 for x in sides):
+        raise NoPredictionError("side sizes must be >= 1")
+    return Prediction("exact", PROVED, "two dominated sides", value=2)
+
+
+def _ladder_rule(least: int, name: str, rule: str) -> Callable[[int], Prediction]:
+    """The ladder rule, or the prism's, which equals it."""
+
+    def predict(n: int) -> Prediction:
+        if n < least:
+            raise NoPredictionError(f"{name} rule needs n >= {least}")
+        suspect = _ladder_suspicious(n)
+        return Prediction(
+            "exact",
+            SUSPECT if suspect else PROVED,
+            rule,
+            value=_ladder_value(n),
+            note="below the class-size bound" if suspect else "",
+        )
+
+    return predict
 
 
 def _grid_prediction(m: int, n: int) -> Prediction:
@@ -183,6 +240,104 @@ def _flower_value(m: int, n: int) -> int:
     return value
 
 
+def _flower_prediction(m: int, n: int) -> Prediction:
+    if m < 3 or n < 1:
+        raise NoPredictionError("flower rule needs m >= 3, n >= 1")
+    return Prediction(
+        "recursive",
+        SUSPECT,
+        "flower recursion",
+        value=_flower_value(m, n),
+        note="the printed recursion is internally inconsistent (constant "
+        "for triangles only by accident); every instance is audited",
+    )
+
+
+def _circulant_prediction(n: int, *conn: int) -> Prediction:
+    if n < 3:
+        raise NoPredictionError("circulant rule needs n >= 3")
+    folded = normalize_connection_set(n, conn)
+    if folded == (1,):
+        # the public entry point, so the cycle's erratum carries over
+        return predict_dom_chromatic(FamilySpec(Family.CYCLE, (n,)))
+    rule = "circulant(1,3) table"
+    if folded != (1, 3) and len(folded) == 2 and n >= 8:
+        # reduce C_n(a,b) to C_n(1, a^-1 b) when some value is invertible
+        pairs = [(x, y) for x, y in (folded, folded[::-1]) if gcd(x, n) == 1]
+        if pairs and circulant_reduce(n, *pairs[0]).c == 3:
+            folded = (1, 3)
+            rule = "circulant(1,3) table via isomorphism reduction"
+    if folded == (1, 3) and n >= 6:
+        # on residue 3 the claimed value sits one above the
+        # total-domination floor and is refuted at n = 11 and 19
+        above_floor = n >= 8 and n % 8 == 3
+        return Prediction(
+            "exact",
+            SUSPECT if above_floor else PROVED,
+            rule,
+            value=_circulant13_value(n),
+            note="claimed value exceeds the total-domination floor"
+            if above_floor else "",
+        )
+    raise NoPredictionError(f"no circulant rule for connection set {folded}")
+
+
+def _clique_star_prediction(m: int, n: int) -> Prediction:
+    if m < 3 or n < 3:
+        raise NoPredictionError("clique star rule needs m, n >= 3")
+    return Prediction("exact", PROVED, "clique star rule", value=m * (n - 1))
+
+
+def _hex_chain_prediction(n: int) -> Prediction:
+    if n < 2:
+        raise NoPredictionError("hexagonal chain rule needs n >= 2")
+    if n == 2:
+        return Prediction("exact", PROVED, "cactus chain rule", value=6)
+    # the stated closed form n+4 grows by 1 per ring while the stated
+    # per-ring recursion adds 2; the solver sides with the recursion
+    # (value 2n+2), so the closed form is kept only as suspect
+    return Prediction(
+        "exact",
+        SUSPECT,
+        "cactus chain rule",
+        value=n + 4,
+        note="conflicts with the stated per-ring recursion, which the "
+        "solver confirms",
+    )
+
+
+_square_chain = _one_param(1, "square chain", "cactus chain rule", lambda n: n + 1)
+
+_DOM_RULES: dict[Family, Callable[..., Prediction]] = {
+    Family.PATH: _one_param(1, "path", "path/cycle rule", _path_cycle_value),
+    Family.CYCLE: _one_param(3, "cycle", "path/cycle rule", _path_cycle_value),
+    Family.COMPLETE: _one_param(
+        1, "complete", "diameter <= 2 so equal to chromatic number", lambda n: n
+    ),
+    Family.COMPLETE_BIPARTITE: _two_sides,
+    Family.STAR: _two_sides,
+    Family.DOUBLE_STAR: _two_sides,
+    Family.BOOK: _two_sides,
+    Family.LADDER: _ladder_rule(2, "ladder", "ladder rule"),
+    Family.PRISM: _ladder_rule(4, "prism", "prism equals ladder rule"),
+    Family.GRID: _grid_prediction,
+    Family.WHEEL: _one_param(
+        3, "wheel", "hub has full degree so equal to chromatic number", lambda n: 3 + n % 2
+    ),
+    Family.FRIENDSHIP: _one_param(1, "friendship", "friendship rule", lambda n: 3),
+    Family.FLOWER: _flower_prediction,
+    Family.CIRCULANT: _circulant_prediction,
+    Family.CLIQUE_STAR: _clique_star_prediction,
+    Family.TRIANGLE_CHAIN: _one_param(
+        2, "triangular chain", "cactus chain rule", lambda n: n + 1
+    ),
+    Family.PARA_SQUARE_CHAIN: _square_chain,
+    Family.ORTHO_SQUARE_CHAIN: _square_chain,
+    Family.PARA_HEX_CHAIN: _hex_chain_prediction,
+    Family.META_HEX_CHAIN: _hex_chain_prediction,
+}
+
+
 def predict_dom_chromatic(fs: FamilySpec) -> Prediction:
     """Closed-form prediction for a family instance, ``suspect`` whenever
     the errata table refutes it.
@@ -190,251 +345,89 @@ def predict_dom_chromatic(fs: FamilySpec) -> Prediction:
     Raises :class:`NoPredictionError` when the family or parameter range is
     outside the shipped table.
     """
-    prediction = _printed_rule(fs)
+    prediction = _lookup(_DOM_RULES, "rule", fs)
     if erratum_for(fs) is not None:
         return replace(prediction, status=SUSPECT)
     return prediction
 
 
-def _printed_rule(fs: FamilySpec) -> Prediction:
-    f, p = fs.family, fs.params
-
-    if f in (Family.PATH, Family.CYCLE):
-        (n,) = p
-        least = 1 if f is Family.PATH else 3
-        if n < least:
-            raise NoPredictionError(f"{f.value} rule needs n >= {least}")
-        return Prediction("exact", PROVED, "path/cycle rule", value=_path_cycle_value(n))
-
-    if f is Family.COMPLETE:
-        (n,) = p
-        if n < 1:
-            raise NoPredictionError("complete rule needs n >= 1")
-        return Prediction("exact", PROVED, "diameter <= 2 so equal to chromatic number", value=n)
-
-    if f in (Family.COMPLETE_BIPARTITE, Family.STAR, Family.DOUBLE_STAR, Family.BOOK):
-        if any(x < 1 for x in p):
-            raise NoPredictionError("side sizes must be >= 1")
-        return Prediction("exact", PROVED, "two dominated sides", value=2)
-
-    if f in (Family.LADDER, Family.PRISM):
-        (n,) = p
-        least = 2 if f is Family.LADDER else 4
-        if n < least:
-            raise NoPredictionError(f"{f.value} rule needs n >= {least}")
-        suspect = _ladder_suspicious(n)
-        return Prediction(
-            "exact",
-            SUSPECT if suspect else PROVED,
-            "ladder rule" if f is Family.LADDER else "prism equals ladder rule",
-            value=_ladder_value(n),
-            note="below the class-size bound" if suspect else "",
-        )
-
-    if f is Family.GRID:
-        return _grid_prediction(*p)
-
-    if f is Family.WHEEL:
-        (n,) = p
-        if n < 3:
-            raise NoPredictionError("wheel rule needs n >= 3")
-        return Prediction(
-            "exact",
-            PROVED,
-            "hub has full degree so equal to chromatic number",
-            value=3 if n % 2 == 0 else 4,
-        )
-
-    if f is Family.FRIENDSHIP:
-        (n,) = p
-        if n < 1:
-            raise NoPredictionError("friendship rule needs n >= 1")
-        return Prediction("exact", PROVED, "friendship rule", value=3)
-
-    if f is Family.FLOWER:
-        m, n = p
-        if m < 3 or n < 1:
-            raise NoPredictionError("flower rule needs m >= 3, n >= 1")
-        return Prediction(
-            "recursive",
-            SUSPECT,
-            "flower recursion",
-            value=_flower_value(m, n),
-            note="the printed recursion is internally inconsistent (constant "
-            "for triangles only by accident); every instance is audited",
-        )
-
-    if f is Family.CIRCULANT:
-        n, *conn = p
-        if n < 3:
-            raise NoPredictionError("circulant rule needs n >= 3")
-        folded = normalize_connection_set(n, tuple(conn))
-        if folded == (1,):
-            # the public entry point, so the cycle's erratum carries over
-            return predict_dom_chromatic(FamilySpec(Family.CYCLE, (n,)))
-        rule = "circulant(1,3) table"
-        if folded != (1, 3) and len(folded) == 2 and n >= 8:
-            # reduce C_n(a,b) to C_n(1, a^-1 b) when some value is invertible
-            pairs = [(x, y) for x, y in (folded, folded[::-1]) if gcd(x, n) == 1]
-            if pairs and circulant_reduce(n, *pairs[0]).c == 3:
-                folded = (1, 3)
-                rule = "circulant(1,3) table via isomorphism reduction"
-        if folded == (1, 3) and n >= 6:
-            # on residue 3 the claimed value sits one above the
-            # total-domination floor and is refuted at n = 11 and 19
-            above_floor = n >= 8 and n % 8 == 3
-            return Prediction(
-                "exact",
-                SUSPECT if above_floor else PROVED,
-                rule,
-                value=_circulant13_value(n),
-                note="claimed value exceeds the total-domination floor"
-                if above_floor else "",
-            )
-        raise NoPredictionError(f"no circulant rule for connection set {folded}")
-
-    if f is Family.CLIQUE_STAR:
-        m, n = p
-        if m < 3 or n < 3:
-            raise NoPredictionError("clique star rule needs m, n >= 3")
-        return Prediction("exact", PROVED, "clique star rule", value=m * (n - 1))
-
-    if f is Family.TRIANGLE_CHAIN:
-        (n,) = p
-        if n < 2:
-            raise NoPredictionError("triangular chain rule needs n >= 2")
-        return Prediction("exact", PROVED, "cactus chain rule", value=n + 1)
-
-    if f in (Family.PARA_SQUARE_CHAIN, Family.ORTHO_SQUARE_CHAIN):
-        (n,) = p
-        if n < 1:
-            raise NoPredictionError("square chain rule needs n >= 1")
-        return Prediction("exact", PROVED, "cactus chain rule", value=n + 1)
-
-    if f in (Family.PARA_HEX_CHAIN, Family.META_HEX_CHAIN):
-        (n,) = p
-        if n < 2:
-            raise NoPredictionError("hexagonal chain rule needs n >= 2")
-        if n == 2:
-            return Prediction("exact", PROVED, "cactus chain rule", value=6)
-        # the stated closed form n+4 grows by 1 per ring while the stated
-        # per-ring recursion adds 2; the solver sides with the recursion
-        # (value 2n+2), so the closed form is kept only as suspect
-        return Prediction(
-            "exact",
-            SUSPECT,
-            "cactus chain rule",
-            value=n + 4,
-            note="conflicts with the stated per-ring recursion, which the "
-            "solver confirms",
-        )
-
-    raise NoPredictionError(f"no rule for family {f.value!r}")
-
-
 # -- closed-form stability/bondage tables -------------------------------------
+
+
+def _flower_stability(m: int, n: int) -> Prediction:
+    if m < 3 or n < 2:
+        raise NoPredictionError("flower stability rule needs m >= 3, n >= 2")
+    return Prediction("exact", PROVED, "single-vertex stability family", value=1)
+
+
+def _balanced_bipartite_stability(m: int, n: int) -> Prediction:
+    if m != n or n < 2:
+        raise NoPredictionError("balanced-sides stability rule needs m = n >= 2")
+    if n == 2:
+        # the graph is the 4-cycle, whose stability is 3; the printed
+        # side-removal argument does not change the value at n = 2
+        return Prediction(
+            "exact",
+            SUSPECT,
+            "balanced bipartite stability rule",
+            value=2,
+            note="conflicts with the cycle rule on the same graph",
+        )
+    return Prediction("exact", PROVED, "balanced bipartite stability rule", value=n)
+
+
+_single_vertex_stability = _one_param(
+    2, "stability", "single-vertex stability family", lambda n: 1
+)
+
+_STABILITY_RULES: dict[Family, Callable[..., Prediction]] = {
+    Family.PATH: _one_param(
+        4, "path stability", "path stability rule", lambda n: 2 if n % 4 == 3 else 1
+    ),
+    Family.CYCLE: _one_param(
+        4, "cycle stability", "cycle stability rule", lambda n: {0: 3, 3: 2}.get(n % 4, 1)
+    ),
+    Family.WHEEL: _one_param(
+        3, "wheel stability", "single-vertex stability family", lambda n: 1
+    ),
+    Family.FRIENDSHIP: _single_vertex_stability,
+    Family.BOOK: _single_vertex_stability,
+    Family.FLOWER: _flower_stability,
+    Family.COMPLETE_BIPARTITE: _balanced_bipartite_stability,
+}
 
 
 def predict_stability(fs: FamilySpec) -> Prediction:
     """Closed-form stability prediction for the supported families."""
-    f, p = fs.family, fs.params
+    return _lookup(_STABILITY_RULES, "stability rule", fs)
 
-    if f is Family.PATH:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("path stability rule needs n >= 4")
-        return Prediction(
-            "exact", PROVED, "path stability rule", value=2 if n % 4 == 3 else 1
-        )
 
-    if f is Family.CYCLE:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("cycle stability rule needs n >= 4")
-        if n % 4 == 0:
-            value = 3
-        elif n % 4 == 3:
-            value = 2
-        else:
-            value = 1
-        return Prediction("exact", PROVED, "cycle stability rule", value=value)
+def _bipartite_bondage(m: int, n: int) -> Prediction:
+    if m < n or n < 1:
+        raise NoPredictionError("bipartite bondage rule needs m >= n >= 1")
+    return Prediction("exact", PROVED, "bipartite bondage rule", value=n)
 
-    if f in (Family.FRIENDSHIP, Family.WHEEL, Family.FLOWER, Family.BOOK):
-        if f is Family.WHEEL:
-            if p[0] < 3:
-                raise NoPredictionError("wheel stability rule needs n >= 3")
-        elif f is Family.FLOWER:
-            if p[0] < 3 or p[1] < 2:
-                raise NoPredictionError("flower stability rule needs m >= 3, n >= 2")
-        elif p[0] < 2:
-            raise NoPredictionError("stability rule needs n >= 2")
-        return Prediction("exact", PROVED, "single-vertex stability family", value=1)
 
-    if f is Family.COMPLETE_BIPARTITE:
-        m, n = p
-        if m != n or n < 2:
-            raise NoPredictionError("balanced-sides stability rule needs m = n >= 2")
-        if n == 2:
-            # the graph is the 4-cycle, whose stability is 3; the printed
-            # side-removal argument does not change the value at n = 2
-            return Prediction(
-                "exact",
-                SUSPECT,
-                "balanced bipartite stability rule",
-                value=2,
-                note="conflicts with the cycle rule on the same graph",
-            )
-        return Prediction("exact", PROVED, "balanced bipartite stability rule", value=n)
-
-    raise NoPredictionError(f"no stability rule for family {f.value!r}")
+_BONDAGE_RULES: dict[Family, Callable[..., Prediction]] = {
+    Family.PATH: _one_param(
+        4, "path bondage", "path bondage rule", lambda n: 2 if n % 4 == 2 else 1
+    ),
+    Family.CYCLE: _one_param(
+        4, "cycle bondage", "cycle bondage rule", lambda n: 3 if n % 4 == 2 else 2
+    ),
+    Family.FRIENDSHIP: _one_param(
+        2, "friendship bondage", "friendship bondage rule", lambda n: 1, SUSPECT,
+        "after any single edge removal a dominated 3-coloring "
+        "still exists, so the true value exceeds the printed 1",
+    ),
+    Family.BOOK: _one_param(2, "book bondage", "book bondage rule", lambda n: 1),
+    Family.COMPLETE_BIPARTITE: _bipartite_bondage,
+}
 
 
 def predict_bondage(fs: FamilySpec) -> Prediction:
     """Closed-form bondage prediction for the supported families."""
-    f, p = fs.family, fs.params
-
-    if f is Family.PATH:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("path bondage rule needs n >= 4")
-        return Prediction(
-            "exact", PROVED, "path bondage rule", value=2 if n % 4 == 2 else 1
-        )
-
-    if f is Family.CYCLE:
-        (n,) = p
-        if n < 4:
-            raise NoPredictionError("cycle bondage rule needs n >= 4")
-        return Prediction(
-            "exact", PROVED, "cycle bondage rule", value=3 if n % 4 == 2 else 2
-        )
-
-    if f is Family.FRIENDSHIP:
-        (n,) = p
-        if n < 2:
-            raise NoPredictionError("friendship bondage rule needs n >= 2")
-        return Prediction(
-            "exact",
-            SUSPECT,
-            "friendship bondage rule",
-            value=1,
-            note="after any single edge removal a dominated 3-coloring "
-            "still exists, so the true value exceeds the printed 1",
-        )
-
-    if f is Family.BOOK:
-        (n,) = p
-        if n < 2:
-            raise NoPredictionError("book bondage rule needs n >= 2")
-        return Prediction("exact", PROVED, "book bondage rule", value=1)
-
-    if f is Family.COMPLETE_BIPARTITE:
-        m, n = p
-        if m < n or n < 1:
-            raise NoPredictionError("bipartite bondage rule needs m >= n >= 1")
-        return Prediction("exact", PROVED, "bipartite bondage rule", value=n)
-
-    raise NoPredictionError(f"no bondage rule for family {f.value!r}")
+    return _lookup(_BONDAGE_RULES, "bondage rule", fs)
 
 
 def predict_gamma_t_circulant13(n: int) -> Prediction:

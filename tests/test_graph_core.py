@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import domchrom as dc
 from domchrom.graph import automorphism_generators, bits, induced, make_graph
+from corpus import digest, parameter_corpus, random_corpus
 
 
 @st.composite
@@ -407,6 +408,43 @@ def test_components_carry_original_labels():
 
 def test_components_connected():
     assert len(dc.components(cycle(6))) == 1
+
+
+def _with_isolated_vertices(rng, g, count):
+    """``g`` with ``count`` isolated vertices inserted at random labels."""
+    n = g.n + count
+    isolated = set(rng.sample(range(n), count))
+    place = [v for v in range(n) if v not in isolated]
+    return make_graph(n, [(place[u], place[v]) for u, v in g.edges()])
+
+
+def _traversal_corpus():
+    graphs = []
+    for fs in parameter_corpus(-2, 12, range(3, 26)):
+        try:
+            graphs.append(dc.generate(fs))
+        except dc.DomchromError:
+            continue
+    rng = random.Random(1018)
+    randoms = random_corpus(1018, 200, n_hi=16, probs=(0.1, 0.2, 0.4), isolate_free=True)
+    for i, g in enumerate(randoms):
+        graphs.append(_with_isolated_vertices(rng, g, i % 4))
+    return graphs
+
+
+# sha256 over the components (member tuples and subgraph rows) and the
+# diameter of every graph generate builds from parameter_corpus(-2, 12,
+# range(3, 26)), and of 200 seeded random graphs with 0-3 isolated
+# vertices inserted
+_TRAVERSAL_DIGEST = "ae4ce669687dcffd7259db57869f9c732c8e17c2300228bf9612c07c927efc50"
+
+
+def test_components_and_diameter_are_pinned():
+    rows = []
+    for g in _traversal_corpus():
+        comps = [[list(members), list(comp.adj)] for comp, members in dc.components(g)]
+        rows.append([g.n, list(g.adj), comps, str(dc.diameter(g))])
+    assert digest(rows) == _TRAVERSAL_DIGEST
 
 
 # -- text formats ----------------------------------------------------------------
