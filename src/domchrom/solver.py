@@ -11,6 +11,11 @@ The exact solver brackets each component between a lower bound (greedy
 clique, neighborhood independence, total domination γ_t) and the size of
 a dominated coloring read off the γ_t witness.  Only an open bracket pays
 for the distance-two bound α(D2) before the first search call.
+``dom_chromatic`` always takes its certificate from the search kernel, so
+it is the canonical one wherever a certificate is printed or pinned.
+``dom_chromatic_value``, for callers that drop the certificate (the audit
+and the stability and bondage sweeps), reads the value of a closed bracket
+off the bounds and searches only the open ones.
 
 Two interchangeable search kernels exist: a compiled extension and a pure
 Python fallback.  The compiled one is used when it imports and the
@@ -189,8 +194,10 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return elim
 
 
-def _component_bounds(comp: Graph) -> tuple[int, int]:
-    """``(lower, upper)`` on the dominated chromatic number of ``comp``.
+def _component_bounds(comp: Graph) -> tuple[int, list[int]]:
+    """``(lower, classes)``: a lower bound on the dominated chromatic number
+    of ``comp`` and the class bitmasks of a dominated coloring of it, whose
+    count is the upper bound.
 
     ``comp`` is connected with at least two vertices, hence isolate-free,
     so every class of a dominated coloring has a dominator.  ``lower`` is
@@ -204,25 +211,55 @@ def _component_bounds(comp: Graph) -> tuple[int, int]:
     * Total domination number: the dominators of the classes cover every
       vertex by open neighborhoods, so they form a total dominating set.
 
-    ``upper`` is the size of a dominated coloring built from the γ_t
-    witness D.  The witness covers every vertex, so the parts
-    ``N(d) minus the earlier parts``, for d in D in witness order,
-    partition the vertices.  Each part gets a first-fit proper coloring;
-    every class is independent and lies inside N(d), so d dominates it.
-    In a triangle-free component each N(d) is independent, every part is
-    one class, and ``upper`` <= γ_t <= ``lower``: the bounds meet.
+    ``classes`` is built from the γ_t witness D.  The witness covers every
+    vertex, so the parts ``N(d) minus the earlier parts``, for d in D in
+    witness order, partition the vertices.  Each part gets a first-fit
+    proper coloring; every class is independent and lies inside N(d), so d
+    dominates it.  In a triangle-free component each N(d) is independent,
+    every part is one class, and ``len(classes)`` <= γ_t <= ``lower``: the
+    bounds meet.
     """
     adj = comp.adj
     clique = len(greedy_clique(adj))
     neighborhood = -(-comp.n // max_neighborhood_independence(adj))
     gamma_t = total_domination_number(comp)
-    upper = 0
+    classes: list[int] = []
     left = (1 << comp.n) - 1
     for d in gamma_t.witness:
         part = adj[d] & left
         left ^= part
-        upper += len(first_fit(adj, bits(part)))
-    return max(clique, neighborhood, gamma_t.value), upper
+        classes += first_fit(adj, bits(part))
+    return max(clique, neighborhood, gamma_t.value), classes
+
+
+def _search(comp: Graph, original: tuple[int, ...], lower: int, upper: int, kernel) -> list[int]:
+    """Class bitmasks of the kernel's first solution at the least feasible
+    k for ``comp``, with each vertex ``v`` of ``comp`` written as
+    ``original[v]``.
+
+    The kernel sees the component relabeled once, in degeneracy order, and
+    is asked once per k, counting up from ``lower``.  When ``upper``, the
+    size of the γ_t witness coloring, exceeds ``lower``, the start is
+    raised to the distance-two bound α(D2) (vertices at distance exactly 2
+    are the only ones that can share a class).  Each kernel call stands
+    alone and only infeasible k are skipped, so the first feasible k and
+    its solution do not depend on the bounds.
+    """
+    order = _degeneracy_order(comp.adj)
+    local_adj = induced(comp, order).adj
+    start = lower
+    if upper > lower:
+        start = max(lower, distance_two_independence(local_adj))
+    for k in range(start, upper + 1):
+        found = kernel(local_adj, k)
+        if found is not None:
+            break
+    else:
+        raise AssertionError("the γ_t witness coloring makes k = upper feasible")
+    masks = [0] * k
+    for v, c in zip(order, found):
+        masks[c] |= 1 << original[v]
+    return masks
 
 
 def _assemble(g: Graph, classes: list[int]) -> DomColoring:
@@ -248,18 +285,14 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
 
     Classes cannot span components, so the minimum is computed per
     connected component and summed; isolated vertices add one exempt
-    singleton class each.  The kernel sees each component relabeled once,
-    in degeneracy order, and is asked once per k, counting up from a
-    proven lower bound.  That start is the lower bound of
-    ``_component_bounds``, raised to the distance-two bound α(D2)
-    (vertices at distance exactly 2 are the only ones that can share a
-    class) when the upper bound, the size of the γ_t witness coloring,
-    exceeds it.  Where the two bounds meet, the lower bound is the value
-    and α(D2), which costs about a third of γ_t, could not raise it; that
-    holds for every triangle-free component, so for nearly all of a
-    stability or bondage sweep.  Each kernel call stands alone and only
-    infeasible k are skipped, so the first feasible k and its solution do
-    not depend on the bounds.  The empty graph has value 0.
+    singleton class each.  Every other component is searched by the
+    kernel (see ``_search``), counting up from the lower bound of
+    ``_component_bounds``.  Where that bound meets the size of the γ_t
+    witness coloring it is the value, and α(D2), which costs about a third
+    of γ_t, could not raise it; that holds for every triangle-free
+    component.  The certificate is always the kernel's first solution,
+    never the witness coloring, so it does not depend on the bounds.  The
+    empty graph has value 0.
     """
     kernel = _kernel_for(backend)
     classes: list[int] = []
@@ -267,24 +300,33 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
         if comp.n == 1:
             classes.append(1 << original[0])
             continue
-        order = [original[v] for v in _degeneracy_order(comp.adj)]
-        local_adj = induced(g, order).adj
-        lower, upper = _component_bounds(comp)
-        start = lower
-        if upper > lower:
-            start = max(lower, distance_two_independence(local_adj))
-        for k in range(start, upper + 1):
-            found = kernel(local_adj, k)
-            if found is not None:
-                break
-        else:
-            raise AssertionError("the γ_t witness coloring makes k = upper feasible")
-        masks = [0] * k
-        for v, c in zip(order, found):
-            masks[c] |= 1 << v
-        classes.extend(masks)
+        lower, witness = _component_bounds(comp)
+        classes += _search(comp, original, lower, len(witness), kernel)
     coloring = _assemble(g, classes)
     return coloring.k, coloring
+
+
+def dom_chromatic_value(g: Graph, *, backend: str | None = None) -> int:
+    """``dom_chromatic(g)[0]``, without the certificate.
+
+    Each isolated vertex counts 1.  A component whose lower bound meets
+    the size of its γ_t witness coloring counts that bound, with no search;
+    on nearly all of a stability or bondage sweep the bracket is closed.
+    Only an open bracket runs the kernel search of ``dom_chromatic``.
+    """
+    kernel = _kernel_for(backend)
+    value = 0
+    for comp, original in components(g):
+        if comp.n == 1:
+            value += 1
+            continue
+        lower, witness = _component_bounds(comp)
+        upper = len(witness)
+        if lower == upper:
+            value += lower
+        else:
+            value += len(_search(comp, original, lower, upper, kernel))
+    return value
 
 
 def exists_k(g: Graph, k: int) -> DomColoring | None:

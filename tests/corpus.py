@@ -71,6 +71,18 @@ def family_corpus(max_n: int) -> list[dc.FamilySpec]:
     return specs
 
 
+# the family ranges of the benchmark's audit workload (Audit.RANGES in
+# bench/workloads.py), one row per family that has a closed-form rule
+AUDIT_RANGES = (
+    "cycle:3..24", "path:1..24", "grid:2..6x2..6", "ladder:2..12",
+    "prism:4..12", "circulant:6..30:1,3",
+    "tchain:2..8", "parasquare:1..6", "orthosquare:1..6",
+    "parahex:2..4", "metahex:2..4",
+    "wheel:3..16", "flower:3..5x1..4", "cliquestar:3..4x3..4",
+    "bipartite:1..6x1..6", "book:2..8", "friendship:1..8",
+)
+
+
 def audited_corpus(max_n: int) -> list[dc.FamilySpec]:
     """Family instances that carry a closed-form prediction (the audit's
     reach), up to ``max_n`` vertices."""

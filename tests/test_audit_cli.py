@@ -13,6 +13,7 @@ import pytest
 
 import domchrom as dc
 from domchrom.cli import main
+from corpus import AUDIT_RANGES
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -379,19 +380,8 @@ def test_cli_audit_multiple_families(capsys):
     ]
 
 
-# the 17 ranges of the benchmark's audit workload (Audit.RANGES in
-# bench/workloads.py), one row per family that has a closed-form rule
-_AUDIT_RANGES = (
-    "cycle:3..24", "path:1..24", "grid:2..6x2..6", "ladder:2..12",
-    "prism:4..12", "circulant:6..30:1,3",
-    "tchain:2..8", "parasquare:1..6", "orthosquare:1..6",
-    "parahex:2..4", "metahex:2..4",
-    "wheel:3..16", "flower:3..5x1..4", "cliquestar:3..4x3..4",
-    "bipartite:1..6x1..6", "book:2..8", "friendship:1..8",
-)
-
 # sha256 over the exit code and the JSON bytes `domchrom audit` prints
-# over _AUDIT_RANGES, at the default caps and with the solver cap raised
+# over AUDIT_RANGES, at the default caps and with the solver cap raised
 _AUDIT_DIGESTS = {
     (): "06627ccd26b41e545fe9971e650e76b601ae2dd3281090c80b64ffe3fc9bcd3b",
     ("--solver-cap", "36"): "75e43247deae8294af79c1b5ad2b646627507ab5291cb2ad7e6ff9f485f56c20",
@@ -401,7 +391,7 @@ _AUDIT_DIGESTS = {
 @pytest.mark.parametrize("caps", sorted(_AUDIT_DIGESTS))
 def test_audit_report_bytes_are_pinned(caps, capsys):
     argv = ["audit", *caps]
-    for text in _AUDIT_RANGES:
+    for text in AUDIT_RANGES:
         argv += ["--family", text]
     code = main(argv)
     out, err = capsys.readouterr()

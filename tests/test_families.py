@@ -6,7 +6,7 @@ import domchrom as dc
 from domchrom import families
 from domchrom.families import normalize_connection_set
 from domchrom.graph import make_graph
-from corpus import digest, family_corpus, outcome, parameter_corpus
+from corpus import AUDIT_RANGES, digest, family_corpus, outcome, parameter_corpus
 
 
 def gen(text):
@@ -109,17 +109,6 @@ def test_spec_rejects_a_wrong_parameter_count(family, params):
 def test_circulant_spec_without_connection_values_is_rejected():
     with pytest.raises(dc.InvalidParameterError, match="nonempty connection set"):
         dc.generate(dc.spec("circulant", 12))
-
-
-# the family ranges of the benchmark's audit workload
-AUDIT_RANGES = (
-    "cycle:3..24", "path:1..24", "grid:2..6x2..6", "ladder:2..12",
-    "prism:4..12", "circulant:6..30:1,3",
-    "tchain:2..8", "parasquare:1..6", "orthosquare:1..6",
-    "parahex:2..4", "metahex:2..4",
-    "wheel:3..16", "flower:3..5x1..4", "cliquestar:3..4x3..4",
-    "bipartite:1..6x1..6", "book:2..8", "friendship:1..8",
-)
 
 
 @pytest.mark.parametrize("text", AUDIT_RANGES + ("circulant:5..9:1,2,3",))

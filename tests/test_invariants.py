@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import domchrom as dc
 from domchrom.graph import _bfs_layers
 from domchrom.invariants import distance_two_rows, independence_number
-from corpus import random_corpus
+from corpus import AUDIT_RANGES, digest, outcome, random_corpus
 
 
 def gen(text):
@@ -170,6 +170,37 @@ def test_total_domination_rejects_isolates():
 def test_total_domination_rejects_empty():
     with pytest.raises(dc.UndefinedInvariantError):
         dc.total_domination_number(dc.make_graph(0))
+
+
+def _cover_witness(invariant, g):
+    result = outcome(invariant, g)
+    return result if isinstance(result, str) else list(result.witness)
+
+
+# sha256 over the γ and γ_t witnesses (or the error) of every graph of the
+# benchmark's audit ranges and 300 seeded isolate-free G(n, p) with n <= 24.
+# Each witness is the first minimum cover in depth-first order; the γ_t one
+# sets the solver's upper bound and the `solve --invariant` output bytes.
+_COVER_WITNESS_DIGEST = "84948bb68593d22101c7b2489f2819984273fe89da0a41cb5f7f26e8c9c7c180"
+
+
+def test_cover_witnesses_are_pinned():
+    graphs = [
+        (str(fs), dc.generate(fs))
+        for text in AUDIT_RANGES
+        for fs in dc.parse_family_range(text)
+    ]
+    assert len(graphs) == 222
+    randoms = random_corpus(
+        19, 300, n_lo=2, n_hi=24, probs=(0.15, 0.25, 0.35, 0.5), isolate_free=True
+    )
+    graphs += [(f"gnp#{i}", g) for i, g in enumerate(randoms)]
+    rows = [
+        [name, _cover_witness(dc.domination_number, g),
+         _cover_witness(dc.total_domination_number, g)]
+        for name, g in graphs
+    ]
+    assert digest(rows) == _COVER_WITNESS_DIGEST
 
 
 # -- solver equivalence with exhaustive enumeration -----------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom import perturb
+from domchrom import perturb, solver
 from domchrom.graph import automorphism_generators
 from domchrom.perturb import PerturbationResult
 from domchrom.predictions import PROVED, SUSPECT
@@ -202,9 +202,9 @@ def test_size_one_solves_one_subset_per_orbit(monkeypatch, text, mode):
 
     def spy(h, *, backend=None):
         solved.append(g.n - h.n if mode == "vertex" else g.m - h.m)
-        return dc.dom_chromatic(h, backend=backend)
+        return solver.dom_chromatic_value(h, backend=backend)
 
-    monkeypatch.setattr(perturb, "dom_chromatic", spy)
+    monkeypatch.setattr(perturb, "dom_chromatic_value", spy)
     r = (dc.dom_stability if mode == "vertex" else dc.dom_bondage)(g)
     # a cycle's group is transitive on its vertices and on its edges
     assert r.size > 1 and solved.count(1) == 1

@@ -316,6 +316,30 @@ def test_compiled_backend_sends_only_components_up_to_64_vertices(built_kernel, 
     assert dc.verify(g, coloring) is None
 
 
+def test_value_path_searches_open_brackets_on_the_compiled_kernel(built_kernel, monkeypatch):
+    rng = random.Random(2026)
+    cases = [
+        dc.generate(fs)
+        for text in ("cliquestar:3..5x3", "tchain:8..12")
+        for fs in dc.parse_family_range(text)
+    ]
+    cases += [
+        random_graph(rng, rng.randint(20, 26), rng.choice((0.35, 0.4))) for _ in range(30)
+    ]
+    calls = []
+
+    def kernel(adj, k):
+        calls.append(k)
+        return built_kernel.find_coloring(adj, k)
+
+    monkeypatch.setitem(solver._BACKENDS, "compiled", SimpleNamespace(find_coloring=kernel))
+    for g in cases:
+        calls.clear()
+        value = solver.dom_chromatic_value(g, backend="compiled")
+        assert calls, "every case has an open bracket"
+        assert value == dc.dom_chromatic(g, backend="python")[0]
+
+
 def test_compiled_kernel_rejects_what_it_cannot_represent(built_kernel):
     with pytest.raises(ValueError, match="limited to 64 vertices"):
         built_kernel.find_coloring([0] * 65, 1)
@@ -418,8 +442,8 @@ def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch)
     monkeypatch.setattr(solver, "distance_two_independence", spy)
     for text in ["cycle:12", "prism:7", "bipartite:4x5", "grid:3x4", "tchain:3"]:
         g = gen(text)
-        lower, upper = solver._component_bounds(g)
-        assert lower == upper
+        lower, classes = solver._component_bounds(g)
+        assert lower == len(classes)
         dc.dom_chromatic(g)
     assert calls == []
     dc.dom_chromatic(gen("cliquestar:5x3"))
@@ -431,12 +455,75 @@ def test_component_bounds_bracket_the_value(g):
     for comp, _ in dc.components(g):
         if comp.n < 2:
             continue
-        lower, upper = solver._component_bounds(comp)
+        lower, classes = solver._component_bounds(comp)
+        upper = len(classes)
         value = dc.dom_chromatic_oracle(comp)
         assert lower <= value <= upper
         if not any(comp.adj[u] & comp.adj[v] for u, v in comp.edges()):
             # triangle-free and isolate-free: every N(d) is one class
             assert upper == dc.total_domination_number(comp).value == value
+
+
+def check_value_path(g):
+    """The value path equals ``dom_chromatic``, and every component's γ_t
+    witness coloring verifies, with exactly ``lower`` classes where the
+    bracket is closed."""
+    assert solver.dom_chromatic_value(g) == dc.dom_chromatic(g)[0]
+    for comp, _ in dc.components(g):
+        if comp.n < 2:
+            continue
+        lower, classes = solver._component_bounds(comp)
+        coloring = solver._assemble(comp, classes)
+        assert dc.verify(comp, coloring) is None
+        assert coloring.k == len(classes)
+        if lower == len(classes):
+            assert coloring.k == lower == dc.dom_chromatic(comp)[0]
+
+
+@st.composite
+def split_graphs(draw, max_n=20):
+    """Up to ``max_n`` vertices: two random parts and up to two isolated
+    vertices, so the graph may be disconnected or have isolated vertices."""
+    g = draw(graphs(max_n=max_n))
+    h = draw(graphs(max_n=max_n - g.n))
+    isolates = draw(st.integers(min_value=0, max_value=min(2, max_n - g.n - h.n)))
+    return dc.disjoint_union(dc.disjoint_union(g, h), dc.make_graph(isolates))
+
+
+@given(split_graphs())
+def test_value_path_equals_dom_chromatic(g):
+    check_value_path(g)
+
+
+# the seven graphs of the benchmark's sweep workload
+SWEEP_GRAPHS = (
+    "circulant:12:1,3", "bipartite:4x5", "prism:8", "cycle:18", "cycle:22",
+    "cycle:12", "prism:7",
+)
+
+
+@pytest.mark.parametrize("text", SWEEP_GRAPHS)
+def test_value_path_on_edge_deletions_of_the_sweep_graphs(text):
+    g = gen(text)
+    edges = g.edges()
+    rng = random.Random(f"deletions-{text}")
+    for size in range(1, 5):
+        for _ in range(10):
+            check_value_path(dc.delete_edges(g, rng.sample(edges, size)))
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_closed_bracket_makes_no_kernel_call(monkeypatch, backend):
+    cases = [gen(text) for text in SWEEP_GRAPHS]
+    cases.append(dc.delete_edges(gen("prism:8"), [(0, 1), (2, 3)]))
+    want = [dc.dom_chromatic(g)[0] for g in cases]
+
+    def refuse(adj, k):
+        raise AssertionError("kernel called on a closed bracket")
+
+    monkeypatch.setitem(solver._BACKENDS, "compiled", SimpleNamespace(find_coloring=refuse))
+    monkeypatch.setattr(_kernel_py, "find_coloring", refuse)
+    assert [solver.dom_chromatic_value(g, backend=backend) for g in cases] == want
 
 
 @given(graphs(max_n=7), st.integers(min_value=0, max_value=2))
