@@ -406,7 +406,9 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
     """Connected components as ``(subgraph, original_vertices)`` pairs.
 
     ``original_vertices[i]`` is the input label of the subgraph's vertex
-    ``i``; components are ordered by their smallest original vertex.
+    ``i``; components are ordered by their smallest original vertex.  A
+    connected graph is its own one component: ``g`` itself is returned,
+    not a copy, which is safe because graphs are immutable.
     """
     seen = 0
     out = []
@@ -414,6 +416,8 @@ def components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
         if seen >> v & 1:
             continue
         reached = sum(_bfs_layers(g.adj, v))  # disjoint layers
+        if reached == (1 << g.n) - 1:
+            return [(g, tuple(range(g.n)))]
         seen |= reached
         members = bits(reached)
         out.append((induced(g, members), tuple(members)))

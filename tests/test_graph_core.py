@@ -407,7 +407,11 @@ def test_components_carry_original_labels():
 
 
 def test_components_connected():
-    assert len(dc.components(cycle(6))) == 1
+    # a connected graph is returned itself, not rebuilt
+    for g in (cycle(6), path(1), dc.generate(dc.spec("circulant", 11, 1, 3))):
+        ((comp, members),) = dc.components(g)
+        assert comp is g
+        assert members == tuple(range(g.n))
 
 
 def _with_isolated_vertices(rng, g, count):

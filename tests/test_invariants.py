@@ -1,6 +1,7 @@
 """Classical invariants against known values and brute-force enumeration."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import domchrom as dc
 from domchrom.graph import _bfs_layers
-from domchrom.invariants import distance_two_rows, independence_number
+from domchrom.invariants import _min_cover, distance_two_rows, independence_number
 from corpus import AUDIT_RANGES, digest, outcome, random_corpus
 
 
@@ -56,6 +57,50 @@ def cover_brute(g, closed):
             m &= m - 1
         if cover == full:
             best = min(best, bin(subset).count("1"))
+    return best
+
+
+def min_cover_reference(masks):
+    """The cover search before its packing bound, kept as a reference: the
+    witness it returns is the first minimum cover in depth-first order,
+    which the packing bound must leave unchanged."""
+    n = len(masks)
+    full = (1 << n) - 1
+    sizes = [m.bit_count() for m in masks]
+    max_gain = max(sizes)
+    least = min(sizes)
+    best = tuple(range(n))
+    chosen = []
+
+    def rec(covered):
+        nonlocal best
+        if covered == full:
+            if len(chosen) < len(best):
+                best = tuple(sorted(chosen))
+            return
+        uncovered = full & ~covered
+        if len(chosen) + -(-uncovered.bit_count() // max_gain) >= len(best):
+            return
+        target, fewest = -1, n + 1
+        m = uncovered
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if sizes[v] < fewest:
+                target, fewest = v, sizes[v]
+                if fewest == least:
+                    break
+            m ^= low
+        m = masks[target]
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            chosen.append(v)
+            rec(covered | masks[v])
+            chosen.pop()
+            m ^= low
+
+    rec(0)
     return best
 
 
@@ -213,6 +258,55 @@ def test_solvers_agree_with_brute_force_small():
             assert dc.domination_number(g).value == cover_brute(g, closed=True)
         if g.n and not g.isolated_vertices():
             assert dc.total_domination_number(g).value == cover_brute(g, closed=False)
+
+
+@st.composite
+def cover_masks(draw):
+    """Symmetric coverer masks on up to 16 vertices: the open neighborhoods
+    of an isolate-free graph (γ_t) or the closed ones of any graph (γ)."""
+    closed = draw(st.booleans())
+    n = draw(st.integers(min_value=1 if closed else 2, max_value=16))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    adj = [0] * n
+    for (i, j), keep in zip(pairs, picks):
+        if keep:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    if closed:
+        return closed, [row | 1 << v for v, row in enumerate(adj)]
+    for v in range(n):
+        if not adj[v]:  # join an isolated vertex to its successor
+            u = (v + 1) % n
+            adj[v] |= 1 << u
+            adj[u] |= 1 << v
+    return closed, adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_masks())
+def test_packing_bound_keeps_the_cover_witness(case):
+    closed, masks = case
+    witness = _min_cover(masks)
+    assert witness == min_cover_reference(masks)
+    if len(masks) <= 10:
+        g = dc.Graph(len(masks), tuple(row & ~(1 << v) for v, row in enumerate(masks)))
+        assert len(witness) == cover_brute(g, closed)
+
+
+def test_total_domination_scales_along_a_ten_ring_chain():
+    # about 0.1 s with the packing bound, 7.3 s without it.  The cost still
+    # grows about 2.7x per ring, so parahex:20 is out of reach and not pinned.
+    g = gen("parahex:10")
+    start = time.perf_counter()
+    result = dc.total_domination_number(g)
+    elapsed = time.perf_counter() - start
+    assert result.value == 22
+    covered = 0
+    for v in result.witness:
+        covered |= g.adj[v]
+    assert covered == (1 << g.n) - 1
+    assert elapsed < 3.0
 
 
 def test_gamma_sandwich_gamma_t():

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -213,6 +214,19 @@ def test_domination_witnesses_are_canonical(text, gamma, gamma_t):
     g = gen(text)
     assert dc.domination_number(g) == dc.InvariantResult(len(gamma), gamma)
     assert dc.total_domination_number(g) == dc.InvariantResult(len(gamma_t), gamma_t)
+
+
+def test_dom_chromatic_on_a_ten_ring_chain():
+    # the lower bound γ_t = 22 is the value, so the one kernel call returns
+    # at once and the cost is the γ_t cover search: about 0.1 s with its
+    # packing bound, 8 s without it
+    g = gen("parahex:10")
+    start = time.perf_counter()
+    k, coloring = dc.dom_chromatic(g)
+    elapsed = time.perf_counter() - start
+    assert k == 22
+    assert dc.verify(g, coloring) is None
+    assert elapsed < 3.0
 
 
 def test_isolated_vertices_each_take_a_color():
