@@ -6,8 +6,10 @@ Vertices are always ``0..n-1``.  ``adj[v]`` is an int bitmask of the open
 neighborhood of ``v``, which makes adjacency tests and neighborhood-subset
 checks (the core test of dominated-coloring search) single integer ops.
 
-All values are immutable after construction; every operation returns a new
-graph, so instances are safe to share across concurrent workers.
+A graph is checked once, where it enters: ``Graph(n, rows)`` checks rows
+from outside the library, and ``_derived`` builds the graphs derived from
+checked input.  Graphs are immutable; an operation returns a new one, or
+its input where nothing changes (``components`` of a connected graph).
 """
 
 from __future__ import annotations
@@ -88,10 +90,13 @@ class Graph:
 
 
 def _derived(adj: tuple[int, ...]) -> Graph:
-    """A graph cut from a valid one, built without the checks of
-    ``Graph.__post_init__``.  An induced subgraph or an edge deletion of a
-    simple graph is simple, so the checks cannot fail; the solver and the
-    sweeps build such graphs by the thousand."""
+    """A graph built from checked input, without the checks of
+    ``Graph.__post_init__``, which cannot fail on its producers' rows.
+    ``induced`` and ``delete_edges`` cut a simple graph, which stays
+    simple.  ``make_graph`` sets both rows of each edge that passed its
+    loop and endpoint checks.  ``r_glue`` maps two simple graphs
+    injectively each, its identified vertices being distinct.  The solver
+    and the sweeps build such graphs by the thousand."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", len(adj))
     object.__setattr__(g, "adj", adj)
@@ -110,7 +115,10 @@ def bits(mask: int) -> list[int]:
 def make_graph(n: int, edges: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a graph from a vertex count and an edge collection.
 
-    Duplicate edges collapse; loops and out-of-range endpoints raise.
+    Duplicate edges collapse; loops, out-of-range endpoints and a negative
+    count raise.  The count check comes after the edge loop, where a
+    negative count has made every endpoint out of range, so the first
+    edge, if any, is the error reported.
     """
     masks = [0] * n
     for e in edges:
@@ -121,7 +129,9 @@ def make_graph(n: int, edges: Iterable[Sequence[int]] = ()) -> Graph:
             raise ValueError(f"edge endpoint out of range: ({u}, {v})")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return _derived(tuple(masks))
 
 
 def induced(g: Graph, vertices: Sequence[int]) -> Graph:
@@ -363,7 +373,7 @@ def r_glue(g: Graph, h: Graph, clique_g: Sequence[int], clique_h: Sequence[int])
     for w in range(h.n):
         for x in bits(h.adj[w]):
             adj[mapping[w]] |= 1 << mapping[x]
-    return Graph(len(adj), tuple(adj))
+    return _derived(tuple(adj))
 
 
 # -- traversal ------------------------------------------------------------
@@ -390,8 +400,6 @@ def _bfs_layers(adj: Sequence[int], start: int) -> Iterator[int]:
 def diameter(g: Graph) -> int | float:
     """Maximum BFS distance over all vertex pairs; ``math.inf`` when
     disconnected.  Graphs with fewer than two vertices have diameter 0."""
-    if g.n <= 1:
-        return 0
     full = (1 << g.n) - 1
     best = 0
     for v in range(g.n):

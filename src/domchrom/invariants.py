@@ -161,8 +161,6 @@ def chromatic_number(g: Graph) -> InvariantResult:
     from a greedy clique up to the first-fit coloring's size is asked once;
     if none is feasible, the first-fit coloring is the witness.
     """
-    if g.n == 0:
-        return InvariantResult(0, ())
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     greedy = first_fit(g.adj, order)
     colors = [0] * g.n

@@ -132,7 +132,7 @@ def verify(g: Graph, coloring: DomColoring) -> Violation | None:
     if not all(isinstance(x, int) for x in labels):
         raise ValueError("colors and dominators must be integers")
     k = max(assignment, default=0)
-    if g.n and sorted(set(assignment)) != list(range(1, k + 1)):
+    if sorted(set(assignment)) != list(range(1, k + 1)):
         raise ValueError(f"colors are not dense 1..{k}")
     for c, d in coloring.dominators.items():
         if not 0 <= d < g.n:

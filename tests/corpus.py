@@ -130,6 +130,18 @@ def parameter_corpus(lo: int, hi: int, orders: range) -> list[dc.FamilySpec]:
     return specs
 
 
+def generated_corpus() -> list[tuple[dc.FamilySpec, Graph]]:
+    """Every graph ``generate`` builds from ``parameter_corpus(-2, 12,
+    range(3, 26))``, with its spec."""
+    out = []
+    for fs in parameter_corpus(-2, 12, range(3, 26)):
+        try:
+            out.append((fs, dc.generate(fs)))
+        except dc.DomchromError:
+            continue
+    return out
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of the package error it raises."""
     try:
@@ -168,3 +180,19 @@ def random_corpus(
             continue
         out.append(g)
     return out
+
+
+def with_isolated_vertices(rng: random.Random, g: Graph, count: int) -> Graph:
+    """``g`` with ``count`` isolated vertices inserted at random labels."""
+    n = g.n + count
+    isolated = set(rng.sample(range(n), count))
+    place = [v for v in range(n) if v not in isolated]
+    return make_graph(n, [(place[u], place[v]) for u, v in g.edges()])
+
+
+def isolated_random_corpus() -> list[Graph]:
+    """200 seeded isolate-free G(n, p) with n <= 16, the i-th with ``i % 4``
+    isolated vertices inserted."""
+    rng = random.Random(1018)
+    randoms = random_corpus(1018, 200, n_hi=16, probs=(0.1, 0.2, 0.4), isolate_free=True)
+    return [with_isolated_vertices(rng, g, i % 4) for i, g in enumerate(randoms)]

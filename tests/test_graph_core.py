@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import domchrom as dc
 from domchrom.graph import automorphism_generators, bits, induced, make_graph
-from corpus import digest, parameter_corpus, random_corpus
+from corpus import digest, generated_corpus, isolated_random_corpus
 
 
 @st.composite
@@ -68,6 +68,56 @@ def test_make_graph_rejects_out_of_range():
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
         dc.Graph(2, (0b10, 0b00))  # asymmetric
+
+
+# A negative count leaves every endpoint out of range, so the first edge, if
+# there is one, is the first error; without edges it is the count.
+_COUNT_ERROR = "vertex count must be non-negative"
+_ENDPOINT_ERROR = "edge endpoint out of range: (0, 1)"
+
+
+@pytest.mark.parametrize(
+    "build,args,error,message",
+    [
+        (make_graph, (-1,), ValueError, _COUNT_ERROR),
+        (make_graph, (-2, [(0, 1)]), ValueError, _ENDPOINT_ERROR),
+        (dc.parse_edge_list, ("-1 0\n",), dc.GraphFormatError, _COUNT_ERROR),
+        (dc.parse_edge_list, ("-2 1\n0 1\n",), dc.GraphFormatError, _ENDPOINT_ERROR),
+        (dc.parse_dimacs, ("p edge -3 0\n",), dc.GraphFormatError, _COUNT_ERROR),
+        (dc.parse_dimacs, ("p edge -3 1\ne 1 2\n",), dc.GraphFormatError, _ENDPOINT_ERROR),
+    ],
+)
+def test_negative_vertex_count_reports_its_first_error(build, args, error, message):
+    with pytest.raises(error) as info:
+        build(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def _builder_corpus():
+    """Graphs from every builder: the generated family graphs, and the
+    disjoint unions, point attachments, 2-glues and Cartesian products of
+    every pair from a small set."""
+    graphs = [g for _, g in generated_corpus()]
+    small = [make_graph(0), make_graph(1), make_graph(2), path(2), path(4), cycle(5),
+             complete(4), dc.generate(dc.spec("star", 3)), dc.generate(dc.spec("grid", 2, 3)),
+             dc.generate(dc.spec("friendship", 2)), dc.disjoint_union(path(2), complete(3))]
+    for g in small:
+        for h in small:
+            graphs += [dc.disjoint_union(g, h), dc.cartesian_product(g, h)]
+            if g.n and h.n:
+                graphs += [dc.point_attach(g, h, 0, h.n - 1), dc.point_attach(g, h, g.n - 1, 0)]
+            if g.m and h.m:
+                (a, b), (c, d) = g.edges()[-1], h.edges()[0]
+                graphs += [dc.r_glue(g, h, (a, b), (c, d)), dc.r_glue(g, h, (b, a), (c, d))]
+    return graphs
+
+
+def test_builders_return_rows_the_full_check_accepts():
+    graphs = _builder_corpus()
+    assert len(graphs) > 1000
+    for g in graphs:
+        assert dc.Graph(g.n, g.adj) == g
 
 
 # -- deletion -----------------------------------------------------------------
@@ -414,26 +464,8 @@ def test_components_connected():
         assert members == tuple(range(g.n))
 
 
-def _with_isolated_vertices(rng, g, count):
-    """``g`` with ``count`` isolated vertices inserted at random labels."""
-    n = g.n + count
-    isolated = set(rng.sample(range(n), count))
-    place = [v for v in range(n) if v not in isolated]
-    return make_graph(n, [(place[u], place[v]) for u, v in g.edges()])
-
-
 def _traversal_corpus():
-    graphs = []
-    for fs in parameter_corpus(-2, 12, range(3, 26)):
-        try:
-            graphs.append(dc.generate(fs))
-        except dc.DomchromError:
-            continue
-    rng = random.Random(1018)
-    randoms = random_corpus(1018, 200, n_hi=16, probs=(0.1, 0.2, 0.4), isolate_free=True)
-    for i, g in enumerate(randoms):
-        graphs.append(_with_isolated_vertices(rng, g, i % 4))
-    return graphs
+    return [g for _, g in generated_corpus()] + isolated_random_corpus()
 
 
 # sha256 over the components (member tuples and subgraph rows) and the
@@ -456,7 +488,8 @@ def test_components_and_diameter_are_pinned():
 
 def test_edge_list_round_trip():
     g = dc.generate(dc.spec("circulant", 7, 1, 3))
-    assert dc.parse_edge_list(dc.format_edge_list(g)) == g
+    parsed = dc.parse_edge_list(dc.format_edge_list(g))
+    assert parsed == g and dc.Graph(parsed.n, parsed.adj) == parsed
 
 
 def test_edge_list_header():
@@ -471,7 +504,7 @@ def test_parse_edge_list_rejects_bad_count():
 
 def test_parse_dimacs():
     g = dc.parse_dimacs("c a comment\np edge 3 2\ne 1 2\ne 2 3\n")
-    assert g == path(3)
+    assert g == path(3) and dc.Graph(g.n, g.adj) == g
 
 
 def test_parse_dimacs_requires_problem_line():
@@ -549,6 +582,7 @@ def test_parsers_return_a_graph_or_raise_a_format_error(case):
     except dc.GraphFormatError:
         return
     assert isinstance(g, dc.Graph) and 0 <= g.n <= 40
+    assert dc.Graph(g.n, g.adj) == g
 
 
 def test_bits_helper():

@@ -26,7 +26,7 @@ from domchrom.invariants import (
     max_neighborhood_independence,
 )
 from domchrom.solver import DomColoring
-from corpus import random_corpus, random_graph
+from corpus import digest, generated_corpus, isolated_random_corpus, random_corpus, random_graph
 
 
 def gen(text):
@@ -202,6 +202,27 @@ def test_dom_chromatic_canonical_certificate(g, assignment, dominators):
     )
 
 
+# sha256 over [spec, k, assignment, dominators, χ value, χ witness, diameter]
+# for every graph generate builds from parameter_corpus(-2, 12, range(3, 26))
+# with n <= 30, the 0- and 1-vertex graphs, and 200 seeded random graphs
+# with 0-3 isolated vertices
+_CERTIFICATE_DIGEST = "bb4e8201e638cec8d775c13f880e253156242cf9fa97345818657d29d947ad79"
+
+
+def test_certificates_and_chi_witnesses_are_pinned():
+    graphs = [(str(fs), g) for fs, g in generated_corpus() if g.n <= 30]
+    assert len(graphs) == 851
+    graphs += [("empty", dc.make_graph(0)), ("K1", dc.make_graph(1))]
+    graphs += [(f"random#{i}", g) for i, g in enumerate(isolated_random_corpus())]
+    rows = []
+    for name, g in graphs:
+        k, col = dc.dom_chromatic(g)
+        chi = dc.chromatic_number(g)
+        rows.append([name, k, list(col.assignment), sorted(col.dominators.items()),
+                     chi.value, list(chi.witness), str(dc.diameter(g))])
+    assert digest(rows) == _CERTIFICATE_DIGEST
+
+
 @pytest.mark.parametrize(
     "text,gamma,gamma_t",
     [
@@ -240,6 +261,7 @@ def test_isolated_vertices_each_take_a_color():
 def test_empty_graph_value_zero():
     k, col = dc.dom_chromatic(dc.make_graph(0))
     assert k == 0 and col.assignment == ()
+    assert dc.verify(dc.make_graph(0), DomColoring(())) is None
 
 
 def test_dom_chromatic_is_deterministic():
