@@ -182,7 +182,7 @@ def random_corpus(
     return out
 
 
-def with_isolated_vertices(rng: random.Random, g: Graph, count: int) -> Graph:
+def _with_isolated_vertices(rng: random.Random, g: Graph, count: int) -> Graph:
     """``g`` with ``count`` isolated vertices inserted at random labels."""
     n = g.n + count
     isolated = set(rng.sample(range(n), count))
@@ -195,4 +195,4 @@ def isolated_random_corpus() -> list[Graph]:
     isolated vertices inserted."""
     rng = random.Random(1018)
     randoms = random_corpus(1018, 200, n_hi=16, probs=(0.1, 0.2, 0.4), isolate_free=True)
-    return [with_isolated_vertices(rng, g, i % 4) for i, g in enumerate(randoms)]
+    return [_with_isolated_vertices(rng, g, i % 4) for i, g in enumerate(randoms)]
