@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .errors import Deadline, NoPredictionError
 from .families import FamilySpec, generate
-from .predictions import PROVED, SUSPECT, erratum_for, predict_dom_chromatic
+from .predictions import PROVED, SUSPECT, predict_dom_chromatic
 from .solver import DEFAULT_ORACLE_CAP, dom_chromatic_oracle, dom_chromatic_value
 from .solver import dom_chromatic  # noqa: F401  (the benchmark tracer wraps it by name)
 
@@ -104,7 +104,7 @@ def _audit_one(
     except NoPredictionError as exc:
         return _skipped(fs, f"no rule: {exc}")
     g = generate(fs)
-    erratum = erratum_for(fs)
+    erratum = prediction.erratum
     expected = erratum.corrected if erratum else prediction.value
     common = dict(
         spec=str(fs),

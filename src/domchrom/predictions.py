@@ -46,8 +46,17 @@ SUSPECT = "suspect"
 
 
 @dataclass(frozen=True)
+class Erratum:
+    printed: int
+    corrected: int
+    reason: str
+
+
+@dataclass(frozen=True)
 class Prediction:
-    """A closed-form value or bound interval with provenance status."""
+    """A closed-form value or bound interval with provenance status.
+    ``erratum`` is the errata-table entry that refutes the printed value,
+    if any (set by :func:`predict_dom_chromatic`)."""
 
     kind: str  # "exact" | "interval" | "recursive"
     status: str
@@ -56,6 +65,7 @@ class Prediction:
     lo: int | None = None
     hi: int | None = None
     note: str = ""
+    erratum: Erratum | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "interval" and self.lo is not None and self.hi is not None:
@@ -66,13 +76,6 @@ class Prediction:
         if self.kind == "interval":
             return self.lo <= v <= self.hi
         return v == self.value
-
-
-@dataclass(frozen=True)
-class Erratum:
-    printed: int
-    corrected: int
-    reason: str
 
 
 #: Instances whose printed value is refuted; the audit expects ``corrected``
@@ -258,8 +261,9 @@ def _circulant_prediction(n: int, *conn: int) -> Prediction:
         raise NoPredictionError("circulant rule needs n >= 3")
     folded = normalize_connection_set(n, conn)
     if folded == (1,):
-        # the public entry point, so the cycle's erratum carries over
-        return predict_dom_chromatic(FamilySpec(Family.CYCLE, (n,)))
+        # the public entry point, so the cycle's erratum marks the row
+        # suspect; the erratum itself stays with the cycle's own row
+        return replace(predict_dom_chromatic(FamilySpec(Family.CYCLE, (n,))), erratum=None)
     rule = "circulant(1,3) table"
     if folded != (1, 3) and len(folded) == 2 and n >= 8:
         # reduce C_n(a,b) to C_n(1, a^-1 b) when some value is invertible
@@ -346,8 +350,9 @@ def predict_dom_chromatic(fs: FamilySpec) -> Prediction:
     outside the shipped table.
     """
     prediction = _lookup(_DOM_RULES, "rule", fs)
-    if erratum_for(fs) is not None:
-        return replace(prediction, status=SUSPECT)
+    erratum = erratum_for(fs)
+    if erratum is not None:
+        return replace(prediction, status=SUSPECT, erratum=erratum)
     return prediction
 
 

@@ -4,7 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
@@ -78,12 +78,17 @@ def test_bondage_time_budget():
         dc.dom_bondage(gen("bipartite:4x5"), budget_ms=0)
 
 
+def perfect_matching(pairs):
+    return dc.make_graph(2 * pairs, [(2 * i, 2 * i + 1) for i in range(pairs)])
+
+
 def test_budget_bounds_the_orbit_walk_of_a_perfect_matching():
     # no edge subset of 24K2 changes the value (a lone vertex is its own
-    # class), and the subsets of each size form one orbit of up to 2.7
-    # million members: the budget must cut both the group search and the
-    # orbit walk
-    g = dc.make_graph(48, [(2 * i, 2 * i + 1) for i in range(24)])
+    # class), so the sweep runs through every size; the subsets of size s
+    # form one orbit of C(24, s) members, up to 2.7 million at s = 12, of
+    # which only the least, {0, ..., s - 1}, is solved.  The budget must cut
+    # the group search, the stabiliser chain and the walk
+    g = perfect_matching(24)
     start = time.monotonic()
     try:
         r = dc.dom_bondage(g, budget_ms=200)
@@ -92,6 +97,14 @@ def test_budget_bounds_the_orbit_walk_of_a_perfect_matching():
     else:
         assert not r.found
     assert time.monotonic() - start < 1.0
+
+
+def test_perfect_matching_sweep_finishes_without_budget():
+    # one least subset per size: 24 solves, not 2^24
+    start = time.monotonic()
+    r = dc.dom_bondage(perfect_matching(24))
+    assert time.monotonic() - start < 1.0
+    assert r == PerturbationResult("edge", False, 48)
 
 
 # -- bondage ----------------------------------------------------------------------
@@ -210,6 +223,24 @@ def test_size_one_solves_one_subset_per_orbit(monkeypatch, text, mode):
     assert r.size > 1 and solved.count(1) == 1
 
 
+def test_bondage_of_a_large_group_solves_one_subset_per_orbit(monkeypatch):
+    # Aut(K_{4,5}) = S_4 x S_5 has order 2880 on the 20 edges: the sweep
+    # solves the unperturbed graph and 22 least subsets, up to the first
+    # witness of size 4
+    solved = []
+
+    def spy(solve):
+        def counted(h, *, backend=None):
+            solved.append(h.m)
+            return solve(h, backend=backend)
+        return counted
+
+    monkeypatch.setattr(perturb, "dom_chromatic", spy(solver.dom_chromatic))
+    monkeypatch.setattr(perturb, "dom_chromatic_value", spy(solver.dom_chromatic_value))
+    assert dc.dom_bondage(gen("bipartite:4x5")).size == 4
+    assert len(solved) == 23
+
+
 @pytest.mark.parametrize("text", STABILITY_TABLE + ["prism:5", "circulant:12:1,3"])
 def test_stability_equals_plain_sweep(text):
     g = gen(text)
@@ -257,6 +288,40 @@ def test_orbit_sweeps_equal_plain_sweeps(g):
         assert dc.dom_stability(g) == plain_sweep(g, "vertex")
     if 0 < g.m <= 10:
         assert dc.dom_bondage(g) == plain_sweep(g, "edge")
+
+
+def least_by_closure(n, perms):
+    """The least member of every orbit of subsets of ``range(n)``, each
+    orbit found by closing a subset under the generators ``perms``, sorted
+    by size and then lexicographically."""
+    least = []
+    seen = set()
+    for s in range(1, n + 1):
+        for subset in combinations(range(n), s):
+            if subset in seen:
+                continue
+            orbit = {subset}
+            frontier = [subset]
+            while frontier:
+                members = frontier.pop()
+                for p in perms:
+                    image = tuple(sorted(p[i] for i in members))
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            seen |= orbit
+            least.append(min(orbit))
+    return sorted(least, key=lambda t: (len(t), t))
+
+
+@settings(max_examples=300)
+@given(st.one_of(symmetric_graphs(max_n=10), sparse_graphs(max_n=10)), st.booleans())
+def test_least_subsets_are_one_per_orbit_in_order(g, edges):
+    items = g.edges() if edges else range(g.n)
+    assume(len(items) <= 10)
+    perms = perturb._item_permutations(g, "edge" if edges else "vertex", items, lambda: None)
+    got = list(perturb._least_subsets(len(items), perms, lambda: None))
+    assert got == least_by_closure(len(items), perms)
 
 
 # -- prediction tables ---------------------------------------------------------------
