@@ -188,15 +188,20 @@ class _Level:
         return _Level(len(identity), [h for h, _ in kept.values()])
 
 
-def _least_subsets(n: int, perms: list[Perm], check: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+def _least_subsets(
+    n: int, perms: list[Perm], check: Callable[[], None]
+) -> Iterator[tuple[int, ...]]:
     """The lexicographically least subset of each orbit of the group
     generated by ``perms`` on the subsets of ``range(n)``, as sorted
     tuples, by size and then in lexicographic order."""
     levels = {(): _Level(n, perms)}  # pointwise stabiliser of each prefix
 
     def level(prefix: tuple[int, ...]) -> _Level:
+        # each prefix is asked for after its own prefix, so no recursion
+        # (a self-referencing closure would hold ``levels`` until the
+        # cyclic garbage collector ran)
         if prefix not in levels:
-            levels[prefix] = level(prefix[:-1]).stabiliser(prefix[-1], check)
+            levels[prefix] = levels[prefix[:-1]].stabiliser(prefix[-1], check)
         return levels[prefix]
 
     def is_least(subset: tuple[int, ...]) -> bool:
