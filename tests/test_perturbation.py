@@ -107,6 +107,25 @@ def test_perfect_matching_sweep_finishes_without_budget():
     assert r == PerturbationResult("edge", False, 48)
 
 
+def test_the_least_subset_walk_checks_the_budget():
+    # the group search is done; a budget that runs out during the walk
+    # (candidates, stabiliser chain, minimal-image tests) must stop it
+    g = perfect_matching(24)
+    edges = g.edges()
+    perms = perturb._item_permutations(g, "edge", edges, lambda: None)
+    calls = 0
+
+    def check():
+        nonlocal calls
+        calls += 1
+        if calls > 50:
+            raise dc.BudgetExceededError("budget")
+
+    with pytest.raises(dc.BudgetExceededError):
+        for _ in perturb._least_subsets(len(edges), perms, check):
+            pass
+
+
 # -- bondage ----------------------------------------------------------------------
 
 
