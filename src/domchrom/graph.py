@@ -85,9 +85,6 @@ class Graph:
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adj[v]]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(n={self.n}, m={self.m})"
-
 
 def _derived(adj: tuple[int, ...]) -> Graph:
     """A graph built from checked input, without the checks of
@@ -155,10 +152,6 @@ def induced(g: Graph, vertices: Sequence[int]) -> Graph:
 # -- symmetry -------------------------------------------------------------
 
 
-def _no_check() -> None:
-    pass
-
-
 def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
     """Coarsest equitable refinement of the ordered partition ``cells``
     (bitmasks), splitting by neighbor counts into each splitter in turn.
@@ -207,7 +200,7 @@ def _target(cells: list[int]) -> int:
 
 
 def automorphism_generators(
-    adj: Sequence[int], check: Callable[[], None] = _no_check
+    adj: Sequence[int], check: Callable[[], None]
 ) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of the graph with bitmask rows
     ``adj``, each as a tuple ``p`` with ``p[v]`` the image of ``v``.
@@ -224,8 +217,8 @@ def automorphism_generators(
     level extend those below to the whole pointwise stabilizer, and at the
     root to the whole group.  A ``w`` whose search fails rules out its whole
     orbit.  Subtrees are pruned where the cell sizes differ from the first
-    path's.  ``check`` runs at every search node, so a caller can bound the
-    work by raising from it.
+    path's.  ``check`` is required and runs at every search node, so a
+    caller bounds the work by raising from it.
     """
     n = len(adj)
     full = (1 << n) - 1

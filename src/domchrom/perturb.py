@@ -54,7 +54,7 @@ from .graph import (
 )
 from .solver import dom_chromatic, dom_chromatic_value
 
-#: Default complexity-guard caps for the exhaustive sweeps.
+#: Complexity-guard caps for the exhaustive sweeps.
 STABILITY_VERTEX_CAP = 14
 BONDAGE_EDGE_CAP = 24
 
@@ -256,38 +256,40 @@ def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> Perturbati
 
 
 def dom_stability(
-    g: Graph,
-    *,
-    max_vertices: int = STABILITY_VERTEX_CAP,
-    budget_ms: int | None = None,
-    backend: str | None = None,
+    g: Graph, *, budget_ms: int | None = None, backend: str | None = None
 ) -> PerturbationResult:
     """Minimum number of vertex deletions changing the dominated chromatic
     number.  Removing all vertices yields the empty graph (value 0), so a
-    witness always exists."""
+    witness always exists.
+
+    The cap is fixed at ``STABILITY_VERTEX_CAP`` (14) vertices: a larger
+    graph raises :class:`BudgetExceededError` before any solve (CLI exit
+    code 2).  ``budget_ms`` bounds the time of the sweep."""
     if g.n == 0:
         raise ValueError("stability of the empty graph is undefined")
-    if g.n > max_vertices:
+    if g.n > STABILITY_VERTEX_CAP:
         raise BudgetExceededError(
-            f"stability sweep refused: {g.n} vertices exceeds the cap of {max_vertices}"
+            f"stability sweep refused: {g.n} vertices exceeds the cap of "
+            f"{STABILITY_VERTEX_CAP}"
         )
     return _sweep(g, "vertex", range(g.n), delete_vertices, budget_ms, backend)
 
 
 def dom_bondage(
-    g: Graph,
-    *,
-    max_edges: int = BONDAGE_EDGE_CAP,
-    budget_ms: int | None = None,
-    backend: str | None = None,
+    g: Graph, *, budget_ms: int | None = None, backend: str | None = None
 ) -> PerturbationResult:
     """Minimum number of edge deletions changing the dominated chromatic
-    number, or a no-witness result when no edge subset changes it."""
+    number, or a no-witness result when no edge subset changes it.
+
+    The cap is fixed at ``BONDAGE_EDGE_CAP`` (24) edges: a larger graph
+    raises :class:`BudgetExceededError` before any solve (CLI exit code 2).
+    ``budget_ms`` bounds the time of the sweep."""
     edges = g.edges()
     if not edges:
         raise ValueError("bondage of an edgeless graph is undefined")
-    if len(edges) > max_edges:
+    if len(edges) > BONDAGE_EDGE_CAP:
         raise BudgetExceededError(
-            f"bondage sweep refused: {len(edges)} edges exceeds the cap of {max_edges}"
+            f"bondage sweep refused: {len(edges)} edges exceeds the cap of "
+            f"{BONDAGE_EDGE_CAP}"
         )
     return _sweep(g, "edge", edges, delete_edges, budget_ms, backend)

@@ -113,12 +113,15 @@ ERRATA: dict[tuple[str, tuple[int, ...]], Erratum] = {
 
 
 def erratum_for(fs: FamilySpec) -> Erratum | None:
+    """The errata entry of ``fs``, a circulant keyed by its folded
+    connection set and one whose set folds to ``(1,)`` as the n-cycle."""
     key = (fs.family.value, fs.params)
     if fs.family is Family.CIRCULANT:
         n, *conn = fs.params
         if n < 3:
             return None
-        key = (fs.family.value, (n, *normalize_connection_set(n, tuple(conn))))
+        folded = normalize_connection_set(n, tuple(conn))
+        key = ("cycle", (n,)) if folded == (1,) else (fs.family.value, (n, *folded))
     return ERRATA.get(key)
 
 
@@ -261,9 +264,7 @@ def _circulant_prediction(n: int, *conn: int) -> Prediction:
         raise NoPredictionError("circulant rule needs n >= 3")
     folded = normalize_connection_set(n, conn)
     if folded == (1,):
-        # the public entry point, so the cycle's erratum marks the row
-        # suspect; the erratum itself stays with the cycle's own row
-        return replace(predict_dom_chromatic(FamilySpec(Family.CYCLE, (n,))), erratum=None)
+        return _DOM_RULES[Family.CYCLE](n)
     rule = "circulant(1,3) table"
     if folded != (1, 3) and len(folded) == 2 and n >= 8:
         # reduce C_n(a,b) to C_n(1, a^-1 b) when some value is invertible

@@ -47,6 +47,16 @@ def test_audit_marks_circulant_errata_row():
     assert row11.errata and row11.solver == 3 and row11.agree is True
 
 
+def test_audit_triangle_circulants_carry_the_cycle_erratum():
+    # C_3(1), C_3(2) and C_3(1, 2) are all the triangle, so each row
+    # expects the corrected cycle:3 value that the solver and oracle give
+    specs = [dc.spec("circulant", 3, *conn) for conn in [(1,), (2,), (1, 2)]]
+    reason = dc.erratum_for(dc.spec("cycle", 3)).reason
+    for row in dc.audit_specs(specs).rows:
+        assert (row.expected, row.errata, row.agree) == (3, True, True), row.spec
+        assert (row.status, row.note) == ("suspect", reason)
+
+
 def test_audit_ladder_suspect_row_does_not_fail_run():
     report = dc.audit_specs(dc.parse_family_range("ladder:2..4"))
     assert report.ok

@@ -410,7 +410,7 @@ def _automorphism_graphs():
 
 def test_automorphism_generators_match_brute_force():
     for g in _automorphism_graphs():
-        gens = automorphism_generators(g.adj)
+        gens = automorphism_generators(g.adj, lambda: None)
         assert all(_is_automorphism(g, p) for p in gens)
         brute = sum(
             _is_automorphism(g, p) for p in itertools.permutations(range(g.n))
@@ -430,7 +430,7 @@ def test_automorphism_generators_of_larger_graphs():
              (3, 4), (3, 6), (3, 7), (6, 7)]
     cases.append((make_graph(8, cubic), 4))
     for g, order in cases:
-        gens = automorphism_generators(g.adj)
+        gens = automorphism_generators(g.adj, lambda: None)
         assert all(_is_automorphism(g, p) for p in gens)
         assert _group_order(gens, g.n) == order
 

@@ -61,11 +61,13 @@ def test_stability_witness_is_lexicographically_first():
     assert dc.dom_stability(g).witness == (0, 1, 2)
 
 
-def test_stability_cap_guard():
-    with pytest.raises(dc.BudgetExceededError, match="cap"):
+def test_stability_cap_guard(monkeypatch):
+    with pytest.raises(dc.BudgetExceededError) as refused:
         dc.dom_stability(gen("path:15"))
-    # explicit override lifts the cap
-    assert dc.dom_stability(gen("path:15"), max_vertices=15).size == 2
+    assert str(refused.value) == "stability sweep refused: 15 vertices exceeds the cap of 14"
+    # the cap is read at call time, so the sweep past it stays covered
+    monkeypatch.setattr(perturb, "STABILITY_VERTEX_CAP", 15)
+    assert dc.dom_stability(gen("path:15")).size == 2
 
 
 def test_stability_time_budget():
@@ -161,9 +163,17 @@ def test_bondage_single_edge_never_changes_cycles():
         assert dc.dom_bondage(gen(f"cycle:{n}")).size >= 2
 
 
-def test_bondage_cap_guard():
+def test_bondage_cap_guard(monkeypatch):
     with pytest.raises(dc.BudgetExceededError, match="cap"):
         dc.dom_bondage(gen("complete:8"))
+    with pytest.raises(dc.BudgetExceededError) as refused:
+        dc.dom_bondage(gen("cycle:25"))
+    assert str(refused.value) == "bondage sweep refused: 25 edges exceeds the cap of 24"
+    # the cap is read at call time, so the sweep past it stays covered
+    monkeypatch.setattr(perturb, "BONDAGE_EDGE_CAP", 25)
+    r = dc.dom_bondage(gen("cycle:25"))
+    assert (r.size, r.witness) == (2, ((0, 1), (2, 3)))
+    assert dc.predict_bondage(dc.parse_family("cycle:25")).value == r.size
 
 
 # -- orbit sweep against a plain sweep ---------------------------------------------

@@ -138,6 +138,14 @@ def test_circulant_singleton_set_uses_cycle_rule():
     assert dc.predict_dom_chromatic(fs("circulant:9:1")).value == 5
 
 
+def test_circulant_singleton_set_carries_the_cycle_erratum():
+    # C_n(1) is the n-cycle, so it has the cycle's erratum, which only n = 3 has
+    triangle = dc.erratum_for(dc.spec("cycle", 3))
+    assert dc.erratum_for(dc.spec("circulant", 3, 1)) is triangle
+    for n in range(4, 26):
+        assert dc.erratum_for(dc.spec("circulant", n, 1)) is None
+
+
 @pytest.mark.parametrize("n", [-5, 0, 1, 2])
 def test_circulant_rule_needs_three_vertices(n):
     f = dc.spec("circulant", n, 1)
