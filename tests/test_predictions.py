@@ -136,9 +136,6 @@ def test_two_value_circulant_rules(n):
 
 def test_circulant_singleton_set_uses_cycle_rule():
     assert dc.predict_dom_chromatic(fs("circulant:9:1")).value == 5
-
-
-def test_circulant_singleton_set_carries_the_cycle_erratum():
     # C_n(1) is the n-cycle, so it has the cycle's erratum, which only n = 3 has
     triangle = dc.erratum_for(dc.spec("cycle", 3))
     assert dc.erratum_for(dc.spec("circulant", 3, 1)) is triangle
