@@ -112,6 +112,12 @@ ERRATA: dict[tuple[str, tuple[int, ...]], Erratum] = {
 }
 
 
+def _fold_circulant(n: int, conn: tuple[int, ...]) -> tuple[int, ...]:
+    """The folded connection set; C_n(a) with gcd(a, n) = 1 is the n-cycle."""
+    folded = normalize_connection_set(n, conn)
+    return (1,) if len(folded) == 1 and gcd(folded[0], n) == 1 else folded
+
+
 def erratum_for(fs: FamilySpec) -> Erratum | None:
     """The errata entry of ``fs``, a circulant keyed by its folded
     connection set and one whose set folds to ``(1,)`` as the n-cycle."""
@@ -120,7 +126,7 @@ def erratum_for(fs: FamilySpec) -> Erratum | None:
         n, *conn = fs.params
         if n < 3:
             return None
-        folded = normalize_connection_set(n, tuple(conn))
+        folded = _fold_circulant(n, tuple(conn))
         key = ("cycle", (n,)) if folded == (1,) else (fs.family.value, (n, *folded))
     return ERRATA.get(key)
 
@@ -262,7 +268,7 @@ def _flower_prediction(m: int, n: int) -> Prediction:
 def _circulant_prediction(n: int, *conn: int) -> Prediction:
     if n < 3:
         raise NoPredictionError("circulant rule needs n >= 3")
-    folded = normalize_connection_set(n, conn)
+    folded = _fold_circulant(n, conn)
     if folded == (1,):
         return _DOM_RULES[Family.CYCLE](n)
     rule = "circulant(1,3) table"

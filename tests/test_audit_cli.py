@@ -420,6 +420,19 @@ def test_cli_audit_skips_circulants_below_three_vertices(text, capsys):
     assert row["skip"] == "no rule: circulant rule needs n >= 3"
 
 
+def test_cli_audit_reads_coprime_circulants_as_cycles(capsys):
+    # C_n(a) with gcd(a, n) = 1 is the n-cycle, so the cycle rule covers it
+    specs = ["circulant:5:2", "circulant:7:3", "circulant:8:3"]
+    code = main(["audit", *(arg for text in specs for arg in ("--family", text))])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    rows = json.loads(out)["instances"]
+    assert [r["spec"] for r in rows] == specs
+    for row, n in zip(rows, (5, 7, 8)):
+        assert row["skip"] is None and row["agree"] is True
+        assert row["predicted"] == row["solver"] == row["oracle"] == (n + 1) // 2
+
+
 @pytest.mark.parametrize("command", [["gen"], ["audit", "--family"]])
 @pytest.mark.parametrize("text,n", [("circulant:3:1,3", 3), ("circulant:7:0", 7)])
 def test_cli_circulant_loop_value_is_usage_error(command, text, n, capsys):

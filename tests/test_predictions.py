@@ -1,5 +1,6 @@
 """Closed-form tables, bound intervals, errata behavior."""
 
+import math
 from dataclasses import asdict
 
 import pytest
@@ -51,7 +52,7 @@ def test_predicted_values(text, value):
 # notes and the messages of out-of-domain parameters.  The erratum a
 # prediction carries is left out here and checked against the errata table
 # by the next test.
-_RULES_DIGEST = "63dc1e36ee7aab07b526849c201821a6d70a348d337092d2194da9b10e8be594"
+_RULES_DIGEST = "109acfc6fecfdb25a4a00ed8077157a3b0d4f67b08f48af49c553ec7ac64ef11"
 
 
 def test_every_printed_rule_is_pinned():
@@ -93,6 +94,21 @@ def test_circulant_prediction_via_reduction():
     p = dc.predict_dom_chromatic(fs("circulant:9:2,6"))
     assert p.value == 3 and p.status == PROVED
     assert dc.dom_chromatic(dc.generate(fs("circulant:9:2,6")))[0] == 3
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_coprime_circulant_is_the_cycle(n):
+    # C_n(a) with gcd(a, n) = 1 is the n-cycle under i -> a^-1 * i, so it
+    # gets the cycle's prediction and erratum; other single values get none
+    cycle = dc.predict_dom_chromatic(fs(f"cycle:{n}"))
+    for a in (*range(1, n), -2, -3):
+        circulant = fs(f"circulant:{n}:{a}")
+        if a % n and math.gcd(a, n) == 1:
+            assert dc.predict_dom_chromatic(circulant) == cycle
+            assert dc.erratum_for(circulant) == dc.erratum_for(fs(f"cycle:{n}"))
+        elif a % n:
+            with pytest.raises(dc.NoPredictionError):
+                dc.predict_dom_chromatic(circulant)
 
 
 # every two-value circulant with 8 <= n <= 24 that reduces onto (1, 3),

@@ -239,8 +239,8 @@ def test_domination_witnesses_are_canonical(text, gamma, gamma_t):
 
 def test_dom_chromatic_on_a_ten_ring_chain():
     # the lower bound γ_t = 22 is the value, so the one kernel call returns
-    # at once and the cost is the γ_t cover search: about 0.1 s with its
-    # packing bound, 8 s without it
+    # at once and the cost is the γ_t cover search: about 15 ms in all,
+    # 8 s before the cover search had its packing bound
     g = gen("parahex:10")
     start = time.perf_counter()
     k, coloring = dc.dom_chromatic(g)
