@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
@@ -484,6 +484,92 @@ def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch)
     assert calls == []
     dc.dom_chromatic(gen("cliquestar:5x3"))
     assert calls == [15]
+
+
+def test_distance_two_bound_is_skipped_where_the_matching_bound_closes_the_gap(monkeypatch):
+    calls = []
+
+    def spy(adj):
+        calls.append(len(adj))
+        return distance_two_independence(adj)
+
+    monkeypatch.setattr(solver, "distance_two_independence", spy)
+    # every bracket here but tchain:3's is open, and the matching bound on
+    # D2 is the lower bound, so α(D2) could not lift the start
+    for links in [*range(2, 13), 20, 30, 40]:
+        assert dc.dom_chromatic(gen(f"tchain:{links}"))[0] == links + 1
+    assert calls == []
+    for text in CLIQUE_STAR_KS:
+        dc.dom_chromatic(gen(text))
+    assert calls == [gen(text).n for text in CLIQUE_STAR_KS]
+
+
+def test_dom_chromatic_on_a_forty_link_triangle_chain():
+    # α(D2) alone takes 0.47 s here and is skipped; γ_t is nearly all of
+    # the 0.18 s left (best of three, Python kernel, shared 2-CPU VM)
+    g = gen("tchain:40")
+    start = time.perf_counter()
+    k, coloring = dc.dom_chromatic(g)
+    elapsed = time.perf_counter() - start
+    assert k == 41
+    assert dc.verify(g, coloring) is None
+    assert elapsed < 2.0
+
+
+def degeneracy_order_reference(adj):
+    """The quadratic elimination order before its degree buckets, kept as a
+    reference: each step rescans every live vertex for the least degree."""
+    n = len(adj)
+    alive = (1 << n) - 1
+    elim = []
+    for _ in range(n):
+        best = -1
+        best_deg = n + 1
+        m = alive
+        while m:
+            v = (m & -m).bit_length() - 1
+            d = (adj[v] & alive).bit_count()
+            if d < best_deg:
+                best_deg = d
+                best = v
+            m &= m - 1
+        elim.append(best)
+        alive ^= 1 << best
+    elim.reverse()
+    return elim
+
+
+@st.composite
+def tied_graphs(draw):
+    """Graphs of up to 70 vertices, past the compiled kernel's 64, with many
+    degree ties: relabelled circulants, where every degree is equal, and
+    random graphs, sparse ones mostly."""
+    n = draw(st.integers(min_value=0, max_value=70))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()) and n > 2:
+        jumps = draw(st.sets(st.integers(min_value=1, max_value=n // 2), min_size=1, max_size=3))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[i], perm[(i + j) % n]) for i in range(n) for j in jumps]
+    else:
+        p = draw(st.sampled_from([0.03, 0.06, 0.1, 0.2, 0.5, 0.9]))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return dc.make_graph(n, edges)
+
+
+@settings(max_examples=300)
+@given(tied_graphs())
+@example(gen("cycle:5"))
+@example(gen("tchain:40"))
+def test_degeneracy_order_matches_the_reference(g):
+    assert solver._degeneracy_order(g.adj) == degeneracy_order_reference(g.adj)
+
+
+@settings(max_examples=300)
+@given(graphs(max_n=14))
+@example(gen("star:3"))
+def test_matching_bound_is_never_below_the_independence_number(g):
+    assert solver._matching_bound(list(g.adj)) >= independence_number(g.adj, (1 << g.n) - 1)
 
 
 @given(graphs(max_n=8))
