@@ -288,14 +288,14 @@ def _search(comp: Graph, original: tuple[int, ...], lower: int, upper: int, kern
     size of the γ_t witness coloring, exceeds ``lower``, the start is
     raised to the distance-two bound α(D2) (vertices at distance exactly 2
     are the only ones that can share a class).  α(D2) is computed only
-    when ``_matching_bound`` of D2, at least ⌈n/2⌉, exceeds ``lower``; when
-    2 * ``lower`` < n it does without building the matching.  Otherwise
-    α(D2) <= ``lower`` and the start stays.  That skips α(D2) on the
-    triangle chains: ``tchain:40`` went from 0.59 to 0.18 s, nearly all of
-    it γ_t, and α(D2) alone takes 0.47 s there (best of three, Python
-    kernel, shared 2-CPU VM).  Each kernel call stands alone and only
-    infeasible k are skipped, so the first feasible k and its solution do
-    not depend on the bounds.
+    when ``_matching_bound`` of D2 exceeds ``lower``; otherwise α(D2) <=
+    ``lower`` and the start stays.  The bound is at least ⌈n/2⌉, so when
+    2 * ``lower`` < n the matching is not built.  The gate skips α(D2) on
+    the triangle chains: ``tchain:40`` went from 0.59 to 0.18 s, nearly
+    all of it γ_t, and α(D2) alone takes 0.47 s there (best of three,
+    Python kernel, shared 2-CPU VM).  Each kernel call stands alone and
+    only infeasible k are skipped, so the first feasible k and its
+    solution do not depend on the bounds.
     """
     order = _degeneracy_order(comp.adj)
     local_adj = induced(comp, order).adj
