@@ -35,7 +35,7 @@ from .families import Family, FamilySpec, circulant_reduce, normalize_connection
 from .graph import Graph
 from .invariants import (
     chromatic_number,
-    distance_two_independence,
+    distance_two_bound,
     domination_number,
     max_neighborhood_independence,
     total_domination_number,
@@ -478,6 +478,8 @@ def bound_clique_star(m: int, chi_h: int) -> Prediction:
     each vertex, given H's dominated chromatic number."""
     if chi_h < 1:
         raise ValueError("part value must be >= 1")
+    if m < 0:
+        raise ValueError(f"clique size must be non-negative, got m = {m}")
     return Prediction(
         "interval",
         PROVED,
@@ -498,6 +500,12 @@ def bound_r_glue(chi1: int, chi2: int, r: int) -> Prediction:
     """
     if r < 0:
         raise ValueError("r must be non-negative")
+    if min(chi1, chi2) < r:
+        # the glued graphs hold an r-clique, whose vertices need r colors
+        raise ValueError(
+            f"impossible r-gluing interval: a graph with an {r}-clique has a value "
+            f"of at least {r}, not {min(chi1, chi2)}"
+        )
     return Prediction(
         "interval",
         SUSPECT,
@@ -515,7 +523,10 @@ def sandwich(g: Graph) -> Prediction:
     The third term holds because every class is an independent set inside
     the open neighborhood of its dominator.  The fourth holds because two
     vertices can share a class only if they are at distance exactly 2,
-    so an independent set of D2 needs pairwise distinct classes.
+    so an independent set of D2 needs pairwise distinct classes.  The
+    fourth goes through ``invariants.distance_two_bound``, the solver's
+    gate, so α(D2) is computed only where it could raise the other three:
+    never on a triangle chain.
     """
     if g.isolated_vertices():
         raise UndefinedInvariantError("sandwich bound needs an isolate-free graph")
@@ -527,6 +538,6 @@ def sandwich(g: Graph) -> Prediction:
         "interval",
         PROVED,
         "sandwich bound",
-        lo=max(chi, gamma_t, neighborhood, distance_two_independence(g.adj)),
+        lo=distance_two_bound(g.adj, max(chi, gamma_t, neighborhood)),
         hi=chi * gamma,
     )

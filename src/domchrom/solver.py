@@ -10,14 +10,15 @@ connected components and is load-bearing for the perturbation results.
 The exact solver brackets each component between a lower bound (greedy
 clique, neighborhood independence, total domination γ_t) and the size of
 a dominated coloring read off the γ_t witness.  On an open bracket the
-search starts at the distance-two bound α(D2) if that is higher, and
-α(D2), exponential along a chain, is computed only where a greedy matching
-of D2 leaves room for it above the lower bound.
-``dom_chromatic`` always takes its certificate from the search kernel, so
-it is the canonical one wherever a certificate is printed or pinned.
-``dom_chromatic_value``, for callers that drop the certificate (the audit
-and the stability and bondage sweeps), reads the value of a closed bracket
-off the bounds and searches only the open ones.
+search starts at the distance-two bound α(D2) if that is higher.
+``invariants.distance_two_bound`` decides whether α(D2), exponential
+along a chain, is worth computing; ``predictions.sandwich`` shares it.
+``dom_chromatic`` and ``dom_chromatic_value`` run one component loop,
+``_solve``.  ``dom_chromatic`` always takes its certificate from the
+search kernel, so it is the canonical one wherever a certificate is
+printed or pinned.  ``dom_chromatic_value``, for callers that drop the
+certificate (the audit and the stability and bondage sweeps), reads the
+value of a closed bracket off the bounds and searches only the open ones.
 
 Two interchangeable search kernels exist: a compiled extension and a pure
 Python fallback.  The compiled one is used when it imports and the
@@ -40,8 +41,7 @@ from . import _kernel_py
 from .errors import OracleCapError
 from .graph import Graph, bits, components, induced
 from .invariants import (
-    distance_two_independence,
-    distance_two_rows,
+    distance_two_bound,
     first_fit,
     greedy_clique,
     max_neighborhood_independence,
@@ -213,33 +213,6 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return elim
 
 
-def _matching_bound(rows: list[int]) -> int:
-    """``n - |M|`` for a greedy matching M of the graph with adjacency
-    ``rows``: an upper bound on its independence number, since an
-    independent set holds at most one end of each matched edge.
-
-    Vertices are taken in ascending degree, lowest label on ties, and each
-    free one is matched to its free neighbor of least degree (the
-    minimum-degree rule of Karp & Sipser, 1981, with degrees fixed).
-    """
-    degree = [row.bit_count() for row in rows]
-    free = (1 << len(rows)) - 1
-    matched = 0
-    for v in sorted(range(len(rows)), key=degree.__getitem__):
-        m = rows[v] & free
-        if m and free >> v & 1:
-            u, least = -1, len(rows)
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                if degree[w] < least:
-                    u, least = w, degree[w]
-                m ^= low
-            free &= ~(1 << v | 1 << u)
-            matched += 1
-    return len(rows) - matched
-
-
 def _component_bounds(comp: Graph) -> tuple[int, list[int]]:
     """``(lower, classes)``: a lower bound on the dominated chromatic number
     of ``comp`` and the class bitmasks of a dominated coloring of it, whose
@@ -286,24 +259,17 @@ def _search(comp: Graph, original: tuple[int, ...], lower: int, upper: int, kern
     The kernel sees the component relabeled once, in degeneracy order, and
     is asked once per k, counting up from ``lower``.  When ``upper``, the
     size of the γ_t witness coloring, exceeds ``lower``, the start is
-    raised to the distance-two bound α(D2) (vertices at distance exactly 2
-    are the only ones that can share a class).  α(D2) is computed only
-    when ``_matching_bound`` of D2 exceeds ``lower``; otherwise α(D2) <=
-    ``lower`` and the start stays.  The bound is at least ⌈n/2⌉, so when
-    2 * ``lower`` < n the matching is not built.  The gate skips α(D2) on
-    the triangle chains: ``tchain:40`` went from 0.59 to 0.18 s, nearly
-    all of it γ_t, and α(D2) alone takes 0.47 s there (best of three,
-    Python kernel, shared 2-CPU VM).  Each kernel call stands alone and
-    only infeasible k are skipped, so the first feasible k and its
-    solution do not depend on the bounds.
+    raised by ``distance_two_bound`` to α(D2) if that is higher (vertices
+    at distance exactly 2 are the only ones that can share a class); its
+    matching gate skips α(D2) on the triangle chains, where ``tchain:40``
+    went from 0.59 to 0.18 s, nearly all of it γ_t (best of three, Python
+    kernel, shared 2-CPU VM).  Each kernel call stands alone and only
+    infeasible k are skipped, so the first feasible k and its solution do
+    not depend on the bounds.
     """
     order = _degeneracy_order(comp.adj)
     local_adj = induced(comp, order).adj
-    start = lower
-    if upper > lower and (
-        2 * lower < comp.n or _matching_bound(distance_two_rows(local_adj)) > lower
-    ):
-        start = max(lower, distance_two_independence(local_adj))
+    start = distance_two_bound(local_adj, lower) if upper > lower else lower
     for k in range(start, upper + 1):
         found = kernel(local_adj, k)
         if found is not None:
@@ -333,21 +299,16 @@ def _assemble(g: Graph, classes: list[int]) -> DomColoring:
     return DomColoring(tuple(assignment), dominators)
 
 
-def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColoring]:
-    """Exact dominated chromatic number with a certificate that is correct
-    by construction; ``verify`` checks it in the tests and the benchmark.
+def _solve(g: Graph, backend: str | None, certify: bool) -> list[int]:
+    """Class bitmasks of a minimum dominated coloring of ``g``.
 
     Classes cannot span components, so the minimum is computed per
-    connected component and summed; isolated vertices add one exempt
-    singleton class each.  Every other component is searched by the
-    kernel (see ``_search``), counting up from the lower bound of
-    ``_component_bounds``.  Where that bound meets the size of the γ_t
-    witness coloring it is the value, and α(D2) could not raise it; that
-    holds for every triangle-free component.  Where they differ, α(D2) is
-    computed only if a matching bound on it exceeds the lower bound, which
-    it does on no triangle chain of up to 60 links.  The certificate is
-    always the kernel's first solution, never the witness coloring, so it
-    does not depend on the bounds.  The empty graph has value 0.
+    connected component and summed; an isolated vertex is one exempt
+    singleton class.  Every other component is bracketed by
+    ``_component_bounds`` and searched by the kernel (see ``_search``).
+    Only with ``certify`` false does a closed bracket skip the search and
+    give its γ_t witness classes, in the component's own labels: they are
+    right in number only, which is all a value-only caller reads.
     """
     kernel = _kernel_for(backend)
     classes: list[int] = []
@@ -356,8 +317,28 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
             classes.append(1 << original[0])
             continue
         lower, witness = _component_bounds(comp)
-        classes += _search(comp, original, lower, len(witness), kernel)
-    coloring = _assemble(g, classes)
+        if certify or lower < len(witness):
+            classes += _search(comp, original, lower, len(witness), kernel)
+        else:
+            classes += witness
+    return classes
+
+
+def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColoring]:
+    """Exact dominated chromatic number with a certificate that is correct
+    by construction; ``verify`` checks it in the tests and the benchmark.
+
+    Isolated vertices add one exempt singleton class each; every other
+    component is searched by the kernel, counting up from the lower bound
+    of ``_component_bounds``.  Where that bound meets the size of the γ_t
+    witness coloring it is the value, and α(D2) could not raise it; that
+    holds for every triangle-free component.  Where they differ, α(D2) is
+    computed only if a matching bound on it exceeds the lower bound, which
+    it does on no triangle chain of up to 60 links.  The certificate is
+    always the kernel's first solution, never the witness coloring, so it
+    does not depend on the bounds.  The empty graph has value 0.
+    """
+    coloring = _assemble(g, _solve(g, backend, certify=True))
     return coloring.k, coloring
 
 
@@ -369,19 +350,7 @@ def dom_chromatic_value(g: Graph, *, backend: str | None = None) -> int:
     on nearly all of a stability or bondage sweep the bracket is closed.
     Only an open bracket runs the kernel search of ``dom_chromatic``.
     """
-    kernel = _kernel_for(backend)
-    value = 0
-    for comp, original in components(g):
-        if comp.n == 1:
-            value += 1
-            continue
-        lower, witness = _component_bounds(comp)
-        upper = len(witness)
-        if lower == upper:
-            value += lower
-        else:
-            value += len(_search(comp, original, lower, upper, kernel))
-    return value
+    return len(_solve(g, backend, certify=False))
 
 
 def exists_k(g: Graph, k: int) -> DomColoring | None:

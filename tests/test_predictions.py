@@ -300,6 +300,28 @@ def test_r_glue_rejects_inconsistent_interval():
         dc.bound_r_glue(2, 2, 4)
 
 
+@pytest.mark.parametrize("chi1,chi2,r", [(1, 1, 2), (2, 2, 4), (3, 9, 4), (9, 3, 4)])
+def test_r_glue_refuses_a_clique_above_either_value(chi1, chi2, r):
+    # an r-clique needs r colors, so both values are at least r
+    least = min(chi1, chi2)
+    message = (
+        f"impossible r-gluing interval: a graph with an {r}-clique has a value "
+        f"of at least {r}, not {least}"
+    )
+    with pytest.raises(ValueError) as info:
+        dc.bound_r_glue(chi1, chi2, r)
+    assert str(info.value) == message
+    # at min(chi1, chi2) = r the interval is still the single value r
+    assert (dc.bound_r_glue(r, r, r).lo, dc.bound_r_glue(r, r, r).hi) == (r, r)
+
+
+def test_clique_star_refuses_a_negative_clique_size():
+    with pytest.raises(ValueError) as info:
+        dc.bound_clique_star(-2, 2)
+    assert str(info.value) == "clique size must be non-negative, got m = -2"
+    assert (dc.bound_clique_star(0, 2).lo, dc.bound_clique_star(0, 2).hi) == (0, 0)
+
+
 def test_sandwich_examples():
     p = dc.sandwich(dc.generate(fs("bipartite:3x3")))
     assert (p.lo, p.hi) == (2, 4)

@@ -17,10 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom import _kernel_py, solver
+from domchrom import _kernel_py, invariants, predictions, solver
 from domchrom.graph import bits
 from domchrom.invariants import (
-    distance_two_independence,
+    distance_two_bound,
     greedy_clique,
     independence_number,
     max_neighborhood_independence,
@@ -471,11 +471,11 @@ def test_distance_two_bound_skips_infeasible_ks(monkeypatch, text):
 def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch):
     calls = []
 
-    def spy(adj):
+    def spy(adj, lower):
         calls.append(len(adj))
-        return distance_two_independence(adj)
+        return distance_two_bound(adj, lower)
 
-    monkeypatch.setattr(solver, "distance_two_independence", spy)
+    monkeypatch.setattr(solver, "distance_two_bound", spy)
     for text in ["cycle:12", "prism:7", "bipartite:4x5", "grid:3x4", "tchain:3"]:
         g = gen(text)
         lower, classes = solver._component_bounds(g)
@@ -486,14 +486,40 @@ def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch)
     assert calls == [15]
 
 
-def test_distance_two_bound_is_skipped_where_the_matching_bound_closes_the_gap(monkeypatch):
+def alpha_d2_calls(monkeypatch):
+    """The vertex count of each graph whose whole independence number is
+    asked for.  Only α(D2) asks that: the neighborhood term asks for
+    α(G[N(d)]), and N(d) misses d, and each branch drops a vertex."""
     calls = []
+    alpha = invariants.independence_number
+
+    def spy(adj, mask):
+        if mask == (1 << len(adj)) - 1:
+            calls.append(len(adj))
+        return alpha(adj, mask)
+
+    monkeypatch.setattr(invariants, "independence_number", spy)
+    return calls
+
+
+def distance_two_builds(monkeypatch):
+    """The vertex count of each graph whose D2 rows are built, through
+    every module of the package that binds ``distance_two_rows``."""
+    calls = []
+    rows = invariants.distance_two_rows
 
     def spy(adj):
         calls.append(len(adj))
-        return distance_two_independence(adj)
+        return rows(adj)
 
-    monkeypatch.setattr(solver, "distance_two_independence", spy)
+    for module in (invariants, solver, predictions):
+        if getattr(module, "distance_two_rows", None) is rows:
+            monkeypatch.setattr(module, "distance_two_rows", spy)
+    return calls
+
+
+def test_distance_two_bound_is_skipped_where_the_matching_bound_closes_the_gap(monkeypatch):
+    calls = alpha_d2_calls(monkeypatch)
     # every bracket here but tchain:3's is open, and the matching bound on
     # D2 is the lower bound, so α(D2) could not lift the start
     for links in [*range(2, 13), 20, 30, 40]:
@@ -502,6 +528,23 @@ def test_distance_two_bound_is_skipped_where_the_matching_bound_closes_the_gap(m
     for text in CLIQUE_STAR_KS:
         dc.dom_chromatic(gen(text))
     assert calls == [gen(text).n for text in CLIQUE_STAR_KS]
+
+
+@pytest.mark.parametrize("text", CLIQUE_STAR_KS)
+def test_distance_two_rows_are_built_once_per_open_bracket(monkeypatch, text):
+    calls = distance_two_builds(monkeypatch)
+    g = gen(text)
+    assert dc.dom_chromatic(g)[0] == CLIQUE_STAR_KS[text][-1]
+    assert calls == [g.n]
+
+
+def test_sandwich_skips_distance_two_bound_on_a_forty_link_triangle_chain(monkeypatch):
+    # χ, γ_t and the neighborhood term give 41, which the matching bound
+    # on D2 does not exceed, so α(D2) cannot raise the lower end
+    calls = alpha_d2_calls(monkeypatch)
+    p = dc.sandwich(gen("tchain:40"))
+    assert (p.lo, p.hi) == (41, 60)
+    assert calls == []
 
 
 def test_dom_chromatic_on_a_forty_link_triangle_chain():
@@ -569,7 +612,7 @@ def test_degeneracy_order_matches_the_reference(g):
 @given(graphs(max_n=14))
 @example(gen("star:3"))
 def test_matching_bound_is_never_below_the_independence_number(g):
-    assert solver._matching_bound(list(g.adj)) >= independence_number(g.adj, (1 << g.n) - 1)
+    assert invariants._matching_bound(list(g.adj)) >= independence_number(g.adj, (1 << g.n) - 1)
 
 
 @given(graphs(max_n=8))
@@ -651,8 +694,17 @@ def test_closed_bracket_makes_no_kernel_call(monkeypatch, backend):
 @given(graphs(max_n=7), st.integers(min_value=0, max_value=2))
 def test_distance_two_bound_lies_between_clique_and_value(g, isolates):
     g = dc.disjoint_union(g, dc.make_graph(isolates, []))
-    alpha = distance_two_independence(g.adj)
+    alpha = distance_two_bound(g.adj, 0)
     assert len(greedy_clique(g.adj)) <= alpha <= dc.dom_chromatic_oracle(g)
+
+
+@given(split_graphs(max_n=12))
+@example(gen("tchain:3"))
+@example(gen("cliquestar:3x3"))
+def test_distance_two_bound_gate_never_changes_the_bound(g):
+    alpha = distance_two_bound(g.adj, 0)
+    for lower in range(g.n + 1):
+        assert distance_two_bound(g.adj, lower) == max(lower, alpha)
 
 
 @given(graphs(max_n=9), graphs(max_n=9), st.integers(min_value=0, max_value=2))
