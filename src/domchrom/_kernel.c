@@ -1,7 +1,9 @@
 /* Compiled search kernel for dominated k-colorings of graphs with at most
  * 64 vertices.  It must stay behaviorally identical to _kernel_py.py: same
  * vertex order, same class order, same first solution.  Edit the two
- * together; the differential test in tests/test_solver.py guards them. */
+ * together; the differential test in tests/test_solver.py guards them.
+ * k may be any C int: at most n classes open, so n_open <= i < n <= 64
+ * bounds every index, and a graph with no vertices gives [] for every k. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -45,9 +47,7 @@ static int search(Search *s, int i, int n_open)
         s->colors[i] = n_open;
         if (search(s, i + 1, n_open + 1))
             return 1;
-        s->class_mask[n_open] = 0;
     }
-    s->colors[i] = -1;
     return 0;
 }
 
@@ -69,13 +69,8 @@ static PyObject *find_coloring(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_ValueError, "compiled kernel is limited to 64 vertices");
         return NULL;
     }
-    if (k <= 0) {
-        if (n == 0)
-            return PyList_New(0);
-        Py_RETURN_NONE;
-    }
     s.n = (int)n;
-    s.k = k > s.n ? s.n : k;
+    s.k = k;
     for (int i = 0; i < s.n; i++) {
         PyObject *item = PySequence_GetItem(adj, i);
         if (item == NULL)
@@ -84,7 +79,6 @@ static PyObject *find_coloring(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_DECREF(item);
         if (s.adj[i] == (uint64_t)-1 && PyErr_Occurred())
             return NULL;
-        s.colors[i] = -1;
     }
     if (!search(&s, 0, 0))
         Py_RETURN_NONE;

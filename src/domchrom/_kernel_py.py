@@ -4,7 +4,9 @@ The solver uses it when the compiled extension is unavailable or a
 component has more than 64 vertices; ``invariants.chromatic_number``
 always uses it, on the graph plus an apex vertex.  The search must stay
 behaviorally identical to ``_kernel.c``: same vertex order, same class
-order, same first solution.
+order, same first solution.  ``k`` may be any int: at most n classes can
+open, so every ``k >= n`` searches alike, and a graph with no vertices
+gives ``[]`` for every ``k``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ def find_coloring(adj: list[int], k: int) -> list[int] | None:
     given order, trying existing classes lowest-first and opening at most
     one new class per step.  Each partial class keeps the bitmask of its
     surviving candidate dominators (vertices adjacent to every member);
-    a branch dies as soon as some class has none left.
+    a branch dies as soon as some class has none left.  A class opens only
+    at a vertex, so the slots are sized by n; a slot at or past the open
+    count is rewritten in full before it is read.
     """
     n = len(adj)
-    if k <= 0:
-        return [] if n == 0 else None
     colors = [-1] * n
-    class_mask = [0] * k
-    cand = [0] * k
+    class_mask = [0] * n
+    cand = [0] * n
 
     def rec(i: int, n_open: int) -> bool:
         if i == n:
@@ -52,8 +54,6 @@ def find_coloring(adj: list[int], k: int) -> list[int] | None:
             colors[i] = n_open
             if rec(i + 1, n_open + 1):
                 return True
-            class_mask[n_open] = 0
-        colors[i] = -1
         return False
 
-    return list(colors) if rec(0, 0) else None
+    return colors if rec(0, 0) else None

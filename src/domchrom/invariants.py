@@ -4,8 +4,7 @@ These are the classical parameters the library's bounds reference.  The
 chromatic number counts up from a greedy clique to a first-fit coloring,
 asking the dominated-coloring kernel at each k on the graph plus an apex.
 Both domination numbers are one iteratively deepened set-cover search on
-the symmetric neighborhood bitmasks, so γ_t of a 61-vertex twelve-ring
-hexagon chain takes about 45 ms.  Every result carries a witness checkable
+the symmetric neighborhood bitmasks.  Every result carries a witness checkable
 in polynomial time.  The bitmask independence number serves the two α
 bounds of the solver and of ``sandwich``: ``⌈n / max_d α(G[N(d)])⌉`` and
 ``α(D2)``, where D2 joins the vertices at distance exactly 2.  Both callers
@@ -162,8 +161,7 @@ def distance_two_bound(adj: list[int] | tuple[int, ...], lower: int) -> int:
     skipped when ``_matching_bound`` of D2 is at most ``lower``, since it
     could not exceed ``lower`` then.  That bound is at least ⌈n/2⌉, so
     the matching is built only when 2 * ``lower`` >= n.  On every triangle
-    chain the gate holds: α(D2) alone takes 0.47 s on ``tchain:40``
-    (best of three, Python 3.11, shared 2-CPU VM).
+    chain the gate holds.
     """
     rows = distance_two_rows(adj)
     if 2 * lower >= len(adj) and _matching_bound(rows) <= lower:
@@ -204,7 +202,7 @@ def chromatic_number(g: Graph) -> InvariantResult:
         for v in bits(mask):
             colors[v] = c
     apex_adj = [((1 << g.n) - 1) << 1] + [1 | row << 1 for row in induced(g, order).adj]
-    for k in range(max(len(greedy_clique(g.adj)), 1), len(greedy)):
+    for k in range(len(greedy_clique(g.adj)), len(greedy)):
         found = find_coloring(apex_adj, k + 1)
         if found is not None:
             for v, c in zip(order, found[1:]):
@@ -230,10 +228,12 @@ def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     call.  The packing (open on open masks, ρ° <= γ_t; closed on closed
     ones, ρ <= γ; Henning & Yeo, *Total Domination in Graphs*, 2013) takes
     U's lowest vertex and drops its ``share`` row, every vertex one pick can
-    cover along with it, again and again.  t starts at the larger of the
-    first two bounds on the whole set.  The cuts drop only subtrees with no
-    cover of t picks or fewer, so the first cover found at the least t is
-    the first minimum cover in depth-first order: a reproducible witness.
+    cover along with it, again and again.  t counts up from 0; the first
+    two cuts reject every t below both bounds at the root, before anything
+    is recorded in ``refuted`` or ``chosen``.  The cuts drop only subtrees
+    with no cover of t picks or fewer, so the first cover found at the
+    least t is the first minimum cover in depth-first order: a
+    reproducible witness.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -280,10 +280,7 @@ def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         refuted[uncovered] = budget + 1
         return False
 
-    t, m = 0, full
-    while m:
-        t, m = t + 1, m & ~share[(m & -m).bit_length() - 1]
-    t = max(t, -(-n // max_gain))
+    t = 0
     while not rec(full, t):
         t += 1
     return tuple(sorted(chosen))

@@ -134,8 +134,6 @@ class _Level:
         self.least = least = list(range(n))
         self.to_least: list[Perm] = [identity] * n
         self.tree: set[tuple[int, int]] = set()  # (point, generator) per tree edge
-        if not gens:
-            return
         inverses = [_inverse(p) for p in gens]
         reached = [False] * n
         for a in range(n):

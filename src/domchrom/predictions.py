@@ -463,6 +463,8 @@ def bound_point_attach(parts: list[int]) -> Prediction:
     """
     if not parts:
         raise ValueError("need at least one part")
+    if min(parts) < 1:
+        raise ValueError("part value must be >= 1")
     return Prediction(
         "interval",
         SUSPECT,

@@ -261,11 +261,9 @@ def _search(comp: Graph, original: tuple[int, ...], lower: int, upper: int, kern
     size of the γ_t witness coloring, exceeds ``lower``, the start is
     raised by ``distance_two_bound`` to α(D2) if that is higher (vertices
     at distance exactly 2 are the only ones that can share a class); its
-    matching gate skips α(D2) on the triangle chains, where ``tchain:40``
-    went from 0.59 to 0.18 s, nearly all of it γ_t (best of three, Python
-    kernel, shared 2-CPU VM).  Each kernel call stands alone and only
-    infeasible k are skipped, so the first feasible k and its solution do
-    not depend on the bounds.
+    matching gate skips α(D2) on the triangle chains.  Each kernel call
+    stands alone and only infeasible k are skipped, so the first feasible
+    k and its solution do not depend on the bounds.
     """
     order = _degeneracy_order(comp.adj)
     local_adj = induced(comp, order).adj

@@ -269,6 +269,15 @@ def test_point_attach_bound():
         dc.bound_point_attach([])
 
 
+@pytest.mark.parametrize("parts", [[-1, 5], [-2], [0], [3, 0, 2]])
+def test_point_attach_refuses_a_part_value_below_one(parts):
+    # every part has a vertex, so its value is at least 1
+    with pytest.raises(ValueError) as info:
+        dc.bound_point_attach(parts)
+    assert str(info.value) == "part value must be >= 1"
+    assert (dc.bound_point_attach([1, 5]).lo, dc.bound_point_attach([1, 5]).hi) == (5, 6)
+
+
 def test_clique_star_bound():
     assert (dc.bound_clique_star(3, 2).lo, dc.bound_clique_star(3, 2).hi) == (3, 6)
     assert (dc.bound_clique_star(5, 1).lo, dc.bound_clique_star(5, 1).hi) == (0, 5)

@@ -288,6 +288,19 @@ def test_backends_agree_and_match_certificates():
         assert expected is None or values == {expected}
 
 
+def test_python_kernel_takes_any_k():
+    # k may be any int: no vertices give [] for every k, no class opens at
+    # k <= 0, and at most n classes open, so every k >= n searches alike
+    for k in (-1, 0, 1, 5):
+        assert _kernel_py.find_coloring([], k) == []
+    for g in random_corpus(27, 30, n_lo=1, n_hi=9, isolate_free=True):
+        assert all(_kernel_py.find_coloring(g.adj, k) is None for k in (-3, -1, 0))
+        at_n = _kernel_py.find_coloring(g.adj, g.n)
+        assert at_n is not None
+        for k in (g.n + 1, g.n + 7, 10**6):
+            assert _kernel_py.find_coloring(g.adj, k) == at_n
+
+
 @pytest.fixture(scope="module")
 def built_kernel(tmp_path_factory):
     """``_kernel.c`` built out of tree by ``setup.py build_ext``, imported."""
@@ -319,11 +332,12 @@ def test_compiled_kernel_matches_python_kernel(built_kernel):
         for k in range(-1, n + 2)
     ]
     # 64 vertices, whose rows reach bit 63.  Below the value only k <= 1,
-    # which fails at once: at k = value - 1 the Python kernel can take minutes
+    # which fails at once: at k = value - 1 the Python kernel can take minutes.
+    # The compiled kernel takes k unclamped, up to the largest C int
     for text in ("path:64", "cycle:64", "circulant:64:1,3", "grid:8x8"):
         g = gen(text)
         value = dc.dom_chromatic(g)[0]
-        cases += [(g.adj, k) for k in (-1, 0, 1, value, value + 1, 64, 65)]
+        cases += [(g.adj, k) for k in (-1, 0, 1, value, value + 1, 64, 65, 2**31 - 1)]
     for adj, k in cases:
         assert built_kernel.find_coloring(adj, k) == _kernel_py.find_coloring(adj, k)
 
