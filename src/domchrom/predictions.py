@@ -5,9 +5,12 @@ sandwich the value, and the errata that refute printed values.
 The printed values are three tables keyed by family: ``_DOM_RULES``,
 ``_STABILITY_RULES`` and ``_BONDAGE_RULES``.  A row takes the instance's
 parameters and returns its prediction, or raises
-:class:`NoPredictionError` for parameters outside the rule's domain.  A
-rule in one parameter with a fixed status is built by ``_one_param``;
-rules with more logic are named functions.
+:class:`NoPredictionError` for parameters outside the rule's domain.
+Almost every row is built by ``_rule`` from its domain, the message for
+parameters outside it, the rule's name, its value and its note
+(``_one_param`` for a rule in one parameter ``n >= least``); only the grid
+and circulant rules, whose notes depend on intermediate values, are named
+functions.
 
 Each prediction carries a provenance status so the audit can adjudicate
 rather than silently correct:
@@ -17,8 +20,9 @@ rather than silently correct:
   counting bound, an isomorphism, or solver ground truth) or rests on an
   internally inconsistent recursion.
 
-A small errata table records the instances where the printed value is
-refuted outright, together with the corrected value the audit expects;
+A row is ``suspect`` exactly where a note gives a reason.  A small errata
+table records the instances where the printed value is refuted outright,
+together with the corrected value the audit expects;
 ``predict_dom_chromatic`` marks every instance it lists ``suspect``.
 Suspicion is propagated, never laundered: derived rules (grids) inherit
 ``suspect`` from their ladder inputs.
@@ -134,19 +138,29 @@ def erratum_for(fs: FamilySpec) -> Erratum | None:
 # -- per-family rules --------------------------------------------------------
 
 
-def _one_param(
-    least: int, name: str, rule: str, value: Callable[[int], int],
-    status: str = PROVED, note: str = "",
-) -> Callable[[int], Prediction]:
-    """The row of a rule in one parameter ``n >= least`` with value
-    ``value(n)`` and a fixed status."""
+def _rule(
+    domain: Callable[..., bool], needs: str, rule: str, value: Callable[..., int],
+    note: Callable[..., str] = lambda *p: "", kind: str = "exact",
+) -> Callable[..., Prediction]:
+    """The row of a rule with value ``value(*params)`` where
+    ``domain(*params)`` holds, ``suspect`` exactly where ``note(*params)``
+    gives a reason; elsewhere it raises ``NoPredictionError(needs)``."""
 
-    def predict(n: int) -> Prediction:
-        if n < least:
-            raise NoPredictionError(f"{name} rule needs n >= {least}")
-        return Prediction("exact", status, rule, value=value(n), note=note)
+    def predict(*params: int) -> Prediction:
+        if not domain(*params):
+            raise NoPredictionError(needs)
+        why = note(*params)
+        return Prediction(kind, SUSPECT if why else PROVED, rule, value=value(*params), note=why)
 
     return predict
+
+
+def _one_param(
+    least: int, name: str, rule: str, value: Callable[[int], int],
+    note: Callable[[int], str] = lambda n: "",
+) -> Callable[[int], Prediction]:
+    """The row of a rule in one parameter ``n >= least``."""
+    return _rule(lambda n: n >= least, f"{name} rule needs n >= {least}", rule, value, note)
 
 
 def _lookup(
@@ -167,41 +181,17 @@ def _ladder_value(n: int) -> int:
     return 2 * (-(-(n - 1) // 3))
 
 
-def _ladder_suspicious(n: int) -> bool:
+def _ladder_note(n: int) -> str:
     # classes cannot exceed the maximum degree 3, so 2n vertices force at
     # least ceil(2n/3) classes; the printed formula dips below that for
     # n = 3t + 1 >= 4
-    return n >= 3 and _ladder_value(n) < -(-2 * n // 3)
-
-
-def _two_sides(*sides: int) -> Prediction:
-    if any(x < 1 for x in sides):
-        raise NoPredictionError("side sizes must be >= 1")
-    return Prediction("exact", PROVED, "two dominated sides", value=2)
-
-
-def _ladder_rule(least: int, name: str, rule: str) -> Callable[[int], Prediction]:
-    """The ladder rule, or the prism's, which equals it."""
-
-    def predict(n: int) -> Prediction:
-        if n < least:
-            raise NoPredictionError(f"{name} rule needs n >= {least}")
-        suspect = _ladder_suspicious(n)
-        return Prediction(
-            "exact",
-            SUSPECT if suspect else PROVED,
-            rule,
-            value=_ladder_value(n),
-            note="below the class-size bound" if suspect else "",
-        )
-
-    return predict
+    below = n >= 3 and _ladder_value(n) < -(-2 * n // 3)
+    return "below the class-size bound" if below else ""
 
 
 def _grid_prediction(m: int, n: int) -> Prediction:
     if m < 2 or n < 2:
         raise NoPredictionError("grid rule needs m, n >= 2")
-    suspect = False
     note = ""
     t, r = divmod(n, 3)
     value = t * m
@@ -209,23 +199,16 @@ def _grid_prediction(m: int, n: int) -> Prediction:
         # the extra-path-of-columns construction is refuted at 3x4, where
         # the true value is one lower, so the whole branch carries doubt
         value += _path_cycle_value(m)
-        suspect = True
         note = "the n = 3t+1 column construction is not always optimal"
     elif r == 2:
         value += _ladder_value(m)
-        if _ladder_suspicious(m):
-            suspect = True
+        if _ladder_note(m):
             note = "inherits a suspect ladder input"
     # the assembled value may also dip under the class-size bound ceil(mn/4)
     if value < -(-m * n // 4):
-        suspect = True
         note = "below the class-size bound"
     return Prediction(
-        kind="exact",
-        status=SUSPECT if suspect else PROVED,
-        rule="grid column recursion",
-        value=value,
-        note=note,
+        "exact", SUSPECT if note else PROVED, "grid column recursion", value=value, note=note
     )
 
 
@@ -252,19 +235,6 @@ def _flower_value(m: int, n: int) -> int:
     return value
 
 
-def _flower_prediction(m: int, n: int) -> Prediction:
-    if m < 3 or n < 1:
-        raise NoPredictionError("flower rule needs m >= 3, n >= 1")
-    return Prediction(
-        "recursive",
-        SUSPECT,
-        "flower recursion",
-        value=_flower_value(m, n),
-        note="the printed recursion is internally inconsistent (constant "
-        "for triangles only by accident); every instance is audited",
-    )
-
-
 def _circulant_prediction(n: int, *conn: int) -> Prediction:
     if n < 3:
         raise NoPredictionError("circulant rule needs n >= 3")
@@ -278,44 +248,29 @@ def _circulant_prediction(n: int, *conn: int) -> Prediction:
         if pairs and circulant_reduce(n, *pairs[0]).c == 3:
             folded = (1, 3)
             rule = "circulant(1,3) table via isomorphism reduction"
-    if folded == (1, 3) and n >= 6:
-        # on residue 3 the claimed value sits one above the
-        # total-domination floor and is refuted at n = 11 and 19
-        above_floor = n >= 8 and n % 8 == 3
-        return Prediction(
-            "exact",
-            SUSPECT if above_floor else PROVED,
-            rule,
-            value=_circulant13_value(n),
-            note="claimed value exceeds the total-domination floor"
-            if above_floor else "",
-        )
-    raise NoPredictionError(f"no circulant rule for connection set {folded}")
-
-
-def _clique_star_prediction(m: int, n: int) -> Prediction:
-    if m < 3 or n < 3:
-        raise NoPredictionError("clique star rule needs m, n >= 3")
-    return Prediction("exact", PROVED, "clique star rule", value=m * (n - 1))
-
-
-def _hex_chain_prediction(n: int) -> Prediction:
-    if n < 2:
-        raise NoPredictionError("hexagonal chain rule needs n >= 2")
-    if n == 2:
-        return Prediction("exact", PROVED, "cactus chain rule", value=6)
-    # the stated closed form n+4 grows by 1 per ring while the stated
-    # per-ring recursion adds 2; the solver sides with the recursion
-    # (value 2n+2), so the closed form is kept only as suspect
+    if folded != (1, 3):
+        raise NoPredictionError(f"no circulant rule for connection set {folded}")
+    # on residue 3 the claimed value sits one above the total-domination
+    # floor and is refuted at n = 11 and 19
+    note = "claimed value exceeds the total-domination floor" if n >= 8 and n % 8 == 3 else ""
     return Prediction(
-        "exact",
-        SUSPECT,
-        "cactus chain rule",
-        value=n + 4,
-        note="conflicts with the stated per-ring recursion, which the "
-        "solver confirms",
+        "exact", SUSPECT if note else PROVED, rule, value=_circulant13_value(n), note=note
     )
 
+
+_two_sides = _rule(
+    lambda *sides: min(sides) >= 1, "side sizes must be >= 1", "two dominated sides",
+    lambda *sides: 2,
+)
+
+# the stated closed form n+4 grows by 1 per ring while the stated per-ring
+# recursion adds 2; the solver sides with the recursion (value 2n+2), so
+# the closed form is kept only as suspect
+_hex_chain = _one_param(
+    2, "hexagonal chain", "cactus chain rule", lambda n: 6 if n == 2 else n + 4,
+    lambda n: "conflicts with the stated per-ring recursion, which the solver confirms"
+    if n > 2 else "",
+)
 
 _square_chain = _one_param(1, "square chain", "cactus chain rule", lambda n: n + 1)
 
@@ -329,23 +284,34 @@ _DOM_RULES: dict[Family, Callable[..., Prediction]] = {
     Family.STAR: _two_sides,
     Family.DOUBLE_STAR: _two_sides,
     Family.BOOK: _two_sides,
-    Family.LADDER: _ladder_rule(2, "ladder", "ladder rule"),
-    Family.PRISM: _ladder_rule(4, "prism", "prism equals ladder rule"),
+    Family.LADDER: _one_param(2, "ladder", "ladder rule", _ladder_value, _ladder_note),
+    Family.PRISM: _one_param(
+        4, "prism", "prism equals ladder rule", _ladder_value, _ladder_note
+    ),
     Family.GRID: _grid_prediction,
     Family.WHEEL: _one_param(
         3, "wheel", "hub has full degree so equal to chromatic number", lambda n: 3 + n % 2
     ),
     Family.FRIENDSHIP: _one_param(1, "friendship", "friendship rule", lambda n: 3),
-    Family.FLOWER: _flower_prediction,
+    Family.FLOWER: _rule(
+        lambda m, n: m >= 3 and n >= 1, "flower rule needs m >= 3, n >= 1",
+        "flower recursion", _flower_value,
+        lambda m, n: "the printed recursion is internally inconsistent (constant "
+        "for triangles only by accident); every instance is audited",
+        kind="recursive",
+    ),
     Family.CIRCULANT: _circulant_prediction,
-    Family.CLIQUE_STAR: _clique_star_prediction,
+    Family.CLIQUE_STAR: _rule(
+        lambda m, n: m >= 3 and n >= 3, "clique star rule needs m, n >= 3",
+        "clique star rule", lambda m, n: m * (n - 1),
+    ),
     Family.TRIANGLE_CHAIN: _one_param(
         2, "triangular chain", "cactus chain rule", lambda n: n + 1
     ),
     Family.PARA_SQUARE_CHAIN: _square_chain,
     Family.ORTHO_SQUARE_CHAIN: _square_chain,
-    Family.PARA_HEX_CHAIN: _hex_chain_prediction,
-    Family.META_HEX_CHAIN: _hex_chain_prediction,
+    Family.PARA_HEX_CHAIN: _hex_chain,
+    Family.META_HEX_CHAIN: _hex_chain,
 }
 
 
@@ -366,28 +332,6 @@ def predict_dom_chromatic(fs: FamilySpec) -> Prediction:
 # -- closed-form stability/bondage tables -------------------------------------
 
 
-def _flower_stability(m: int, n: int) -> Prediction:
-    if m < 3 or n < 2:
-        raise NoPredictionError("flower stability rule needs m >= 3, n >= 2")
-    return Prediction("exact", PROVED, "single-vertex stability family", value=1)
-
-
-def _balanced_bipartite_stability(m: int, n: int) -> Prediction:
-    if m != n or n < 2:
-        raise NoPredictionError("balanced-sides stability rule needs m = n >= 2")
-    if n == 2:
-        # the graph is the 4-cycle, whose stability is 3; the printed
-        # side-removal argument does not change the value at n = 2
-        return Prediction(
-            "exact",
-            SUSPECT,
-            "balanced bipartite stability rule",
-            value=2,
-            note="conflicts with the cycle rule on the same graph",
-        )
-    return Prediction("exact", PROVED, "balanced bipartite stability rule", value=n)
-
-
 _single_vertex_stability = _one_param(
     2, "stability", "single-vertex stability family", lambda n: 1
 )
@@ -404,20 +348,23 @@ _STABILITY_RULES: dict[Family, Callable[..., Prediction]] = {
     ),
     Family.FRIENDSHIP: _single_vertex_stability,
     Family.BOOK: _single_vertex_stability,
-    Family.FLOWER: _flower_stability,
-    Family.COMPLETE_BIPARTITE: _balanced_bipartite_stability,
+    Family.FLOWER: _rule(
+        lambda m, n: m >= 3 and n >= 2, "flower stability rule needs m >= 3, n >= 2",
+        "single-vertex stability family", lambda m, n: 1,
+    ),
+    # at n = 2 the graph is the 4-cycle, whose stability is 3; the printed
+    # side-removal argument does not change the value there
+    Family.COMPLETE_BIPARTITE: _rule(
+        lambda m, n: m == n >= 2, "balanced-sides stability rule needs m = n >= 2",
+        "balanced bipartite stability rule", lambda m, n: 2 if n == 2 else n,
+        lambda m, n: "conflicts with the cycle rule on the same graph" if n == 2 else "",
+    ),
 }
 
 
 def predict_stability(fs: FamilySpec) -> Prediction:
     """Closed-form stability prediction for the supported families."""
     return _lookup(_STABILITY_RULES, "stability rule", fs)
-
-
-def _bipartite_bondage(m: int, n: int) -> Prediction:
-    if m < n or n < 1:
-        raise NoPredictionError("bipartite bondage rule needs m >= n >= 1")
-    return Prediction("exact", PROVED, "bipartite bondage rule", value=n)
 
 
 _BONDAGE_RULES: dict[Family, Callable[..., Prediction]] = {
@@ -428,12 +375,15 @@ _BONDAGE_RULES: dict[Family, Callable[..., Prediction]] = {
         4, "cycle bondage", "cycle bondage rule", lambda n: 3 if n % 4 == 2 else 2
     ),
     Family.FRIENDSHIP: _one_param(
-        2, "friendship bondage", "friendship bondage rule", lambda n: 1, SUSPECT,
-        "after any single edge removal a dominated 3-coloring "
+        2, "friendship bondage", "friendship bondage rule", lambda n: 1,
+        lambda n: "after any single edge removal a dominated 3-coloring "
         "still exists, so the true value exceeds the printed 1",
     ),
     Family.BOOK: _one_param(2, "book bondage", "book bondage rule", lambda n: 1),
-    Family.COMPLETE_BIPARTITE: _bipartite_bondage,
+    Family.COMPLETE_BIPARTITE: _rule(
+        lambda m, n: m >= n >= 1, "bipartite bondage rule needs m >= n >= 1",
+        "bipartite bondage rule", lambda m, n: n,
+    ),
 }
 
 
