@@ -35,7 +35,7 @@ from math import gcd
 from typing import Callable
 
 from .errors import NoPredictionError, UndefinedInvariantError
-from .families import Family, FamilySpec, circulant_reduce, normalize_connection_set
+from .families import Family, FamilySpec, normalize_connection_set
 from .graph import Graph
 from .invariants import (
     chromatic_number,
@@ -117,14 +117,26 @@ ERRATA: dict[tuple[str, tuple[int, ...]], Erratum] = {
 
 
 def _fold_circulant(n: int, conn: tuple[int, ...]) -> tuple[int, ...]:
-    """The folded connection set; C_n(a) with gcd(a, n) = 1 is the n-cycle."""
+    """The folded connection set, carried onto a set with a rule where a
+    unit u of Z_n does so (C_n(S) and C_n(uS) are isomorphic under
+    i -> u * i): C_n(a) with gcd(a, n) = 1 is the n-cycle ``(1,)``, and
+    C_n(x, y) with gcd(x, n) = 1 is C_n(1, x^-1 y), so ``(1, 3)`` where
+    x^-1 y folds to 3."""
     folded = normalize_connection_set(n, conn)
-    return (1,) if len(folded) == 1 and gcd(folded[0], n) == 1 else folded
+    if len(folded) == 1 and gcd(folded[0], n) == 1:
+        return (1,)
+    if n >= 6 and len(folded) == 2 and any(
+        gcd(x, n) == 1 and pow(x, -1, n) * y % n in (3, n - 3)
+        for x, y in (folded, folded[::-1])
+    ):
+        return (1, 3)
+    return folded
 
 
 def erratum_for(fs: FamilySpec) -> Erratum | None:
     """The errata entry of ``fs``, a circulant keyed by its folded
-    connection set and one whose set folds to ``(1,)`` as the n-cycle."""
+    connection set (``_fold_circulant``) and one whose set folds to
+    ``(1,)`` as the n-cycle."""
     key = (fs.family.value, fs.params)
     if fs.family is Family.CIRCULANT:
         n, *conn = fs.params
@@ -241,15 +253,11 @@ def _circulant_prediction(n: int, *conn: int) -> Prediction:
     folded = _fold_circulant(n, conn)
     if folded == (1,):
         return _DOM_RULES[Family.CYCLE](n)
-    rule = "circulant(1,3) table"
-    if folded != (1, 3) and len(folded) == 2 and n >= 8:
-        # reduce C_n(a,b) to C_n(1, a^-1 b) when some value is invertible
-        pairs = [(x, y) for x, y in (folded, folded[::-1]) if gcd(x, n) == 1]
-        if pairs and circulant_reduce(n, *pairs[0]).c == 3:
-            folded = (1, 3)
-            rule = "circulant(1,3) table via isomorphism reduction"
     if folded != (1, 3):
         raise NoPredictionError(f"no circulant rule for connection set {folded}")
+    rule = "circulant(1,3) table"
+    if normalize_connection_set(n, conn) != folded:
+        rule += " via isomorphism reduction"
     # on residue 3 the claimed value sits one above the total-domination
     # floor and is refuted at n = 11 and 19
     note = "claimed value exceeds the total-domination floor" if n >= 8 and n % 8 == 3 else ""

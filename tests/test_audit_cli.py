@@ -374,11 +374,13 @@ def test_cli_audit_writes_report(tmp_path, capsys):
 
 
 def test_cli_audit_errata_exit_zero(capsys):
-    code = main(["audit", "--family", "circulant:6..8:1,3"])
-    out, _ = capsys.readouterr()
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["instances"][0]["errata"] is True
+    # circulant:11:2,3 is C_11(1, 3) under i -> 4i, so it carries that erratum
+    for family, expected in [("circulant:6..8:1,3", 2), ("circulant:11:2,3", 3)]:
+        code = main(["audit", "--family", family])
+        out, _ = capsys.readouterr()
+        assert code == 0
+        row = json.loads(out)["instances"][0]
+        assert (row["errata"], row["expected"], row["agree"]) == (True, expected, True), family
 
 
 def test_cli_audit_multiple_families(capsys):

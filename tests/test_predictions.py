@@ -6,6 +6,7 @@ from dataclasses import asdict
 import pytest
 
 import domchrom as dc
+from domchrom.families import normalize_connection_set
 from domchrom.predictions import PROVED, SUSPECT
 from corpus import digest, outcome, parameter_corpus
 
@@ -52,7 +53,7 @@ def test_predicted_values(text, value):
 # notes and the messages of out-of-domain parameters.  The erratum a
 # prediction carries is left out here and checked against the errata table
 # by the next test.
-_RULES_DIGEST = "109acfc6fecfdb25a4a00ed8077157a3b0d4f67b08f48af49c553ec7ac64ef11"
+_RULES_DIGEST = "e4825e3cfdf217bdc53447702c68e8ec53d5857a03dc135f25379865144f3be7"
 
 
 def test_every_printed_rule_is_pinned():
@@ -111,30 +112,14 @@ def test_coprime_circulant_is_the_cycle(n):
                 dc.predict_dom_chromatic(circulant)
 
 
-# every two-value circulant with 8 <= n <= 24 that reduces onto (1, 3),
-# with the predicted value; the (1, 3) status carries over
-_REDUCED_TO_13 = {
-    9: [(2, 3, 3), (3, 4, 3)],
-    11: [(2, 5, 4)],
-    12: [(3, 5, 4)],
-    13: [(2, 6, 4), (3, 4, 4)],
-    14: [(3, 5, 4)],
-    15: [(2, 6, 4), (3, 4, 4), (6, 7, 4)],
-    16: [(3, 7, 4)],
-    17: [(2, 6, 5), (3, 8, 5), (4, 5, 5)],
-    18: [(3, 5, 6), (3, 7, 6)],
-    19: [(2, 6, 6), (3, 9, 6), (4, 7, 6)],
-    20: [(3, 9, 6)],
-    21: [(2, 6, 6), (3, 8, 6), (4, 9, 6), (5, 6, 6), (9, 10, 6)],
-    22: [(3, 9, 6), (5, 7, 6)],
-    23: [(2, 6, 6), (3, 9, 6), (4, 11, 6), (5, 8, 6)],
-    24: [(3, 7, 6), (5, 9, 6), (9, 11, 6)],
-}
-
-
-@pytest.mark.parametrize("n", range(8, 25))
+@pytest.mark.parametrize("n", range(6, 25))
 def test_two_value_circulant_rules(n):
-    reduced = {(a, b): value for a, b, value in _REDUCED_TO_13.get(n, [])}
+    # C_n(S) and C_n(uS) are isomorphic under i -> u * i for every unit u
+    # of Z_n, so the two-value sets with the (1, 3) table's prediction and
+    # erratum are the folded images of {u, 3u}, and no other set has a rule
+    reduced = {
+        normalize_connection_set(n, (u, 3 * u)) for u in range(1, n) if math.gcd(u, n) == 1
+    }
     table = dc.predict_dom_chromatic(fs(f"circulant:{n}:1,3"))
     assert table.rule == "circulant(1,3) table"
     for a in range(1, n // 2 + 1):
@@ -147,7 +132,7 @@ def test_two_value_circulant_rules(n):
                 continue
             p = dc.predict_dom_chromatic(fs(f"circulant:{n}:{a},{b}"))
             assert p.rule == "circulant(1,3) table via isomorphism reduction"
-            assert (p.value, p.status) == (reduced[a, b], table.status)
+            assert (p.value, p.status, p.erratum) == (table.value, table.status, table.erratum)
 
 
 def test_circulant_singleton_set_uses_cycle_rule():
