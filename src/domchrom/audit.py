@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .errors import Deadline, NoPredictionError
-from .families import FamilySpec, generate
+from .families import FamilySpec, _order, generate
 from .predictions import PROVED, SUSPECT, predict_dom_chromatic
 from .solver import DEFAULT_ORACLE_CAP, dom_chromatic_oracle, dom_chromatic_value
 from .solver import dom_chromatic  # noqa: F401  (the benchmark tracer wraps it by name)
@@ -103,7 +103,6 @@ def _audit_one(
         prediction = predict_dom_chromatic(fs)
     except NoPredictionError as exc:
         return _skipped(fs, f"no rule: {exc}")
-    g = generate(fs)
     erratum = prediction.erratum
     expected = erratum.corrected if erratum else prediction.value
     common = dict(
@@ -115,8 +114,11 @@ def _audit_one(
         errata=erratum is not None,
         note=erratum.reason if erratum else prediction.note,
     )
-    if g.n > solver_cap:
-        return AuditRow(**common, skip=f"size cap: {g.n} > {solver_cap} vertices")
+    # the count comes from the parameters: a family graph costs O(n^2) bits
+    order = _order(fs)
+    if order > solver_cap:
+        return AuditRow(**common, skip=f"size cap: {order} > {solver_cap} vertices")
+    g = generate(fs)
     solver_value = dom_chromatic_value(g, backend=backend)
     oracle_value = dom_chromatic_oracle(g, cap=oracle_cap) if g.n <= oracle_cap else None
     return AuditRow(

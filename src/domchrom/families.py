@@ -377,21 +377,28 @@ _FAMILIES: dict[Family, tuple[Callable[..., int], Callable[..., Graph]]] = {
 }
 
 
+def _order(fs: FamilySpec) -> int:
+    """The vertex count of ``fs``'s graph, read off its parameters without
+    building anything; 2^63 or more is refused, as the graph parsers
+    refuse it."""
+    # a negative parameter counts as 0 here and is refused by its builder
+    order = _FAMILIES[fs.family][0](*(max(x, 0) for x in fs.params))
+    if order >= 1 << 63:
+        raise InvalidParameterError(f"vertex count too large: {order}")
+    return order
+
+
 def generate(fs: FamilySpec) -> Graph:
     """Build the graph described by a family spec.
 
-    The vertex count is read off the parameters before anything is built,
-    and 2^63 or more is refused, as the graph parsers refuse it.  A smaller
-    count that still does not fit in memory fails when the vertex list is
-    sized, before the first edge is drawn; both are parameter errors.
+    The vertex count is read off the parameters before anything is built
+    (see ``_order``).  A count that does not fit in memory fails when the
+    vertex list is sized, before the first edge is drawn; both are
+    parameter errors.
     """
-    order_of, build = _FAMILIES[fs.family]
-    # a negative parameter counts as 0 here and is refused by its builder
-    order = order_of(*(max(x, 0) for x in fs.params))
-    if order >= 1 << 63:
-        raise InvalidParameterError(f"vertex count too large: {order}")
+    order = _order(fs)
     try:
-        return build(*fs.params)
+        return _FAMILIES[fs.family][1](*fs.params)
     except (MemoryError, OverflowError):
         raise InvalidParameterError(f"vertex count too large: {order}") from None
 

@@ -71,6 +71,13 @@ def test_audit_skips_oversized_instances():
     assert row.solver is None and report.ok
 
 
+def test_audit_skips_an_oversized_instance_before_building_it(monkeypatch):
+    monkeypatch.setattr("domchrom.audit.generate", None)  # any build would raise TypeError
+    (row,) = dc.audit_specs(dc.parse_family_range("path:1000000")).rows
+    assert row.skip == "size cap: 1000000 > 18 vertices"
+    assert (row.predicted, row.solver) == (500000, None)
+
+
 def test_audit_skips_rows_without_rules():
     report = dc.audit_specs(dc.parse_family_range("tchain:1"))
     assert report.rows[0].skip is not None and report.ok
