@@ -2,8 +2,10 @@
  * 64 vertices.  It must stay behaviorally identical to _kernel_py.py: same
  * vertex order, same class order, same first solution.  Edit the two
  * together; the differential test in tests/test_solver.py guards them.
- * k may be any C int: at most n classes open, so n_open <= i < n <= 64
- * bounds every index, and a graph with no vertices gives [] for every k. */
+ * k may be any Python int: no class opens at k <= 0 and at most n <= 64
+ * open, so k is clamped to 0..64 without changing the search; then
+ * n_open <= i < n bounds every index, and a graph with no vertices gives
+ * [] for every k. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -54,14 +56,19 @@ static int search(Search *s, int i, int n_open)
 static PyObject *find_coloring(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *keywords[] = {"adj", "k", NULL};
-    PyObject *adj;
-    int k;
+    PyObject *adj, *k_obj;
+    int overflow;
     Search s;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oi:find_coloring", keywords,
-                                     &adj, &k))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:find_coloring", keywords,
+                                     &adj, &k_obj))
         return NULL;
+    long long k = PyLong_AsLongLongAndOverflow(k_obj, &overflow);
+    if (k == -1 && !overflow && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        k = overflow > 0 ? MAX_N : 0;
     Py_ssize_t n = PyObject_Length(adj);
     if (n < 0)
         return NULL;
@@ -70,7 +77,7 @@ static PyObject *find_coloring(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     }
     s.n = (int)n;
-    s.k = k;
+    s.k = k < 0 ? 0 : k > MAX_N ? MAX_N : (int)k;
     for (int i = 0; i < s.n; i++) {
         PyObject *item = PySequence_GetItem(adj, i);
         if (item == NULL)

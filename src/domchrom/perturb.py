@@ -31,10 +31,26 @@ prefix; its generators come from Schreier's lemma, thinned by Sims' filter
 If some image can bring a point below the next element of ``T``, ``T`` is
 not least.
 
-Only values are compared, so each subset is solved by
-``dom_chromatic_value``, which reads a closed bound bracket without a
-kernel search.  The one unperturbed solve per sweep stays on
-``dom_chromatic``, which the benchmark's tracer looks up by name.
+Each subset is solved by ``solver._solve`` without a certificate, which
+reads a closed bound bracket without a kernel search and returns the
+classes of a dominated coloring of ``G - S``.  The one unperturbed solve
+per sweep stays on ``dom_chromatic``, which the benchmark's tracer looks
+up by name.
+
+The edge sweep skips most of those solves.  Deleting edges never lowers
+γ_t (Henning & Yeo, *Total Domination in Graphs*, 2013), and the value is
+never below the floor: γ_t summed over the components of two or more
+vertices, plus one per isolated vertex.  For a dominated coloring of
+``G - S`` restricted to a component ``C`` of ``G``, the dominators of its
+classes, with one neighbor in ``G`` of each vertex that ``S`` isolates,
+form a total dominating set of ``C`` no larger than the number of those
+classes.  So where the floor equals the
+unperturbed value, a subset whose removal leaves some known coloring of
+that many classes dominated keeps the value, and needs no solve.  The
+known colorings are the unperturbed certificate and the classes of every
+subset solved since, newest first.  The floor is computed at the first
+subset that could skip; below the value, the sweep solves every subset.
+Deleting a vertex can lower γ_t, so the vertex sweep solves every subset.
 """
 
 from __future__ import annotations
@@ -48,11 +64,13 @@ from .graph import (
     Graph,
     automorphism_generators,
     bits,
+    components,
     delete_edges,
     delete_vertices,
     induced,
 )
-from .solver import dom_chromatic, dom_chromatic_value
+from .invariants import total_domination_number
+from .solver import _solve, dom_chromatic
 
 #: Complexity-guard caps for the exhaustive sweeps.
 STABILITY_VERTEX_CAP = 14
@@ -237,19 +255,58 @@ def _least_subsets(
         smaller = found
 
 
+def _colors(adj: tuple[int, ...], classes: list[int]) -> bool:
+    """Whether the class bitmasks ``classes`` form a dominated coloring of
+    the graph with rows ``adj``: each class is independent and has a common
+    neighbor, or is the singleton of an isolated vertex."""
+    for mask in classes:
+        common = -1
+        for v in bits(mask):
+            if adj[v] & mask:
+                return False
+            common &= adj[v]
+        if not common and mask & (mask - 1):
+            return False
+    return True
+
+
+def _floor(g: Graph) -> int:
+    """A lower bound on the value of ``g`` minus any set of edges: γ_t of
+    each component of two or more vertices, one per isolated vertex."""
+    return sum(
+        total_domination_number(comp).value if comp.n > 1 else 1
+        for comp, _ in components(g)
+    )
+
+
 def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> PerturbationResult:
     """Try removing subsets of ``items``, smallest and lexicographically
-    first, one per automorphism orbit, until the value changes."""
+    first, one per automorphism orbit, until the value changes.  In edge
+    mode a subset that a pooled coloring still colors is skipped while the
+    floor equals the value (see the module docstring)."""
     deadline = Deadline(budget_ms)
-    before = dom_chromatic(g, backend=backend)[0]
+    before, coloring = dom_chromatic(g, backend=backend)
+    pool = None
+    if mode == "edge":  # dominated colorings with ``before`` classes
+        pool = [[sum(1 << v for v in members) for members in coloring.classes().values()]]
+    floor = None
     perms = _item_permutations(g, mode, items, deadline.check)
     for combo in _least_subsets(len(items), perms, deadline.check):
         subset = tuple(items[i] for i in combo)
-        after = dom_chromatic_value(delete(g, subset), backend=backend)
-        if after != before:
+        h = delete(g, subset)
+        if pool and any(_colors(h.adj, classes) for classes in pool):
+            if floor is None:
+                floor = _floor(g)
+            if floor == before:
+                continue
+            pool = None
+        classes = _solve(h, backend, False)
+        if len(classes) != before:
             return PerturbationResult(
-                mode, True, before, size=len(combo), witness=subset, after=after
+                mode, True, before, size=len(combo), witness=subset, after=len(classes)
             )
+        if pool is not None:
+            pool.insert(0, classes)
     return PerturbationResult(mode, False, before)
 
 

@@ -463,8 +463,8 @@ def bound_r_glue(chi1: int, chi2: int, r: int) -> Prediction:
     if min(chi1, chi2) < r:
         # the glued graphs hold an r-clique, whose vertices need r colors
         raise ValueError(
-            f"impossible r-gluing interval: a graph with an {r}-clique has a value "
-            f"of at least {r}, not {min(chi1, chi2)}"
+            f"impossible r-gluing interval: a graph with a clique of {r} vertices "
+            f"has a value of at least {r}, not {min(chi1, chi2)}"
         )
     return Prediction(
         "interval",

@@ -17,8 +17,9 @@ along a chain, is worth computing; ``predictions.sandwich`` shares it.
 ``_solve``.  ``dom_chromatic`` always takes its certificate from the
 search kernel, so it is the canonical one wherever a certificate is
 printed or pinned.  ``dom_chromatic_value``, for callers that drop the
-certificate (the audit and the stability and bondage sweeps), reads the
-value of a closed bracket off the bounds and searches only the open ones.
+certificate (the audit), reads the value of a closed bracket off the
+bounds and searches only the open ones.  The stability and bondage sweeps
+call ``_solve`` on that path directly and keep its classes.
 
 Two interchangeable search kernels exist: a compiled extension and a pure
 Python fallback.  The compiled one is used when it imports and the
@@ -305,8 +306,8 @@ def _solve(g: Graph, backend: str | None, certify: bool) -> list[int]:
     singleton class.  Every other component is bracketed by
     ``_component_bounds`` and searched by the kernel (see ``_search``).
     Only with ``certify`` false does a closed bracket skip the search and
-    give its γ_t witness classes, in the component's own labels: they are
-    right in number only, which is all a value-only caller reads.
+    give its γ_t witness classes instead.  Either way every class is in
+    ``g``'s labels and together they form a dominated coloring of ``g``.
     """
     kernel = _kernel_for(backend)
     classes: list[int] = []
@@ -317,8 +318,10 @@ def _solve(g: Graph, backend: str | None, certify: bool) -> list[int]:
         lower, witness = _component_bounds(comp)
         if certify or lower < len(witness):
             classes += _search(comp, original, lower, len(witness), kernel)
-        else:
+        elif comp is g:  # connected: ``components`` returns g itself
             classes += witness
+        else:
+            classes += [sum(1 << original[v] for v in bits(mask)) for mask in witness]
     return classes
 
 

@@ -1,5 +1,6 @@
 """Stability/bondage sweeps, witnesses, budgets and prediction tables."""
 
+import random
 import time
 from itertools import combinations
 
@@ -237,37 +238,58 @@ def test_group_is_searched_once_per_sweep_on_non_isolated_vertices(monkeypatch):
     assert sizes == [25, 8]
 
 
+def _count_visits_and_solves(monkeypatch, g, mode):
+    """Lists that fill, as the sweep runs, with the size of each subset it
+    removes and of each subset it solves."""
+    visited, solved = [], []
+    name = "delete_vertices" if mode == "vertex" else "delete_edges"
+    delete = getattr(perturb, name)
+
+    def counted_delete(h, subset):
+        visited.append(len(subset))
+        return delete(h, subset)
+
+    def counted_solve(h, backend, certify):
+        solved.append(g.n - h.n if mode == "vertex" else g.m - h.m)
+        return solver._solve(h, backend, certify)
+
+    monkeypatch.setattr(perturb, name, counted_delete)
+    monkeypatch.setattr(perturb, "_solve", counted_solve)
+    return visited, solved
+
+
 @pytest.mark.parametrize("text,mode", [("cycle:12", "vertex"), ("cycle:18", "edge")])
 def test_size_one_solves_one_subset_per_orbit(monkeypatch, text, mode):
     g = gen(text)
-    solved = []
-
-    def spy(h, *, backend=None):
-        solved.append(g.n - h.n if mode == "vertex" else g.m - h.m)
-        return solver.dom_chromatic_value(h, backend=backend)
-
-    monkeypatch.setattr(perturb, "dom_chromatic_value", spy)
+    visited, solved = _count_visits_and_solves(monkeypatch, g, mode)
     r = (dc.dom_stability if mode == "vertex" else dc.dom_bondage)(g)
     # a cycle's group is transitive on its vertices and on its edges
-    assert r.size > 1 and solved.count(1) == 1
+    assert r.size > 1 and visited.count(1) == 1
+    # the vertex sweep solves every subset it visits; the edge sweep skips
+    # those the cycle's certificate or an earlier solve still colors
+    if mode == "vertex":
+        assert solved == visited and len(solved) == 8
+    else:
+        assert len(solved) == 5 and solved[-1] == r.size
 
 
 def test_bondage_of_a_large_group_solves_one_subset_per_orbit(monkeypatch):
     # Aut(K_{4,5}) = S_4 x S_5 has order 2880 on the 20 edges: the sweep
-    # solves the unperturbed graph and 22 least subsets, up to the first
-    # witness of size 4
-    solved = []
+    # visits 22 least subsets, up to the first witness of size 4
+    g = gen("bipartite:4x5")
+    visited, solved = _count_visits_and_solves(monkeypatch, g, "edge")
+    unperturbed = []
 
-    def spy(solve):
-        def counted(h, *, backend=None):
-            solved.append(h.m)
-            return solve(h, backend=backend)
-        return counted
+    def counted(h, *, backend=None):
+        unperturbed.append(h.m)
+        return solver.dom_chromatic(h, backend=backend)
 
-    monkeypatch.setattr(perturb, "dom_chromatic", spy(solver.dom_chromatic))
-    monkeypatch.setattr(perturb, "dom_chromatic_value", spy(solver.dom_chromatic_value))
-    assert dc.dom_bondage(gen("bipartite:4x5")).size == 4
-    assert len(solved) == 23
+    monkeypatch.setattr(perturb, "dom_chromatic", counted)
+    assert dc.dom_bondage(g).size == 4
+    assert len(visited) == 22 and unperturbed == [20]
+    # γ_t(K_{4,5}) = 2 is the value, and the certificate colors every
+    # subset but the witness, the one subset solved
+    assert solved == [4]
 
 
 @pytest.mark.parametrize("text", STABILITY_TABLE + ["prism:5", "circulant:12:1,3"])
@@ -282,6 +304,53 @@ def test_stability_equals_plain_sweep(text):
 def test_bondage_equals_plain_sweep(text):
     g = gen(text)
     assert dc.dom_bondage(g) == plain_sweep(g, "edge")
+
+
+def dense_and_sparse_graphs(seed, count):
+    """``count`` seeded G(n, p) with 2 <= n <= 10 and p = 0.15..0.7, at
+    least one edge and at most the bondage cap: with triangles, isolated
+    vertices and several components."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, p = rng.randint(2, 10), rng.uniform(0.15, 0.7)
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+        if edges:
+            out.append(dc.make_graph(n, edges[: perturb.BONDAGE_EDGE_CAP]))
+    return out
+
+
+def test_bondage_skips_only_subsets_that_keep_the_value():
+    # A skipped subset keeps the value only if the pooled coloring is proper
+    # in G - S and the γ_t floor equals the value.  Dropping the properness
+    # test changes the result on 4 of these graphs, dropping the floor guard
+    # on 334, so the corpus is sized to catch both.
+    graphs = dense_and_sparse_graphs(1, 1000)
+    assert all(
+        sum(f(g) for g in graphs) > 300
+        for f in (
+            lambda g: any(g.adj[u] & g.adj[v] for u, v in g.edges()),
+            lambda g: bool(g.isolated_vertices()),
+            lambda g: len(dc.components(g)) > 1,
+        )
+    )
+    for g in graphs:
+        assert dc.dom_bondage(g) == plain_sweep(g, "edge")
+
+
+def test_pool_check_agrees_with_verify():
+    rng = random.Random(7)
+    seen = set()
+    for g in dense_and_sparse_graphs(7, 400):
+        k = rng.randint(1, g.n)
+        assignment = [rng.randrange(k) for _ in range(g.n)]
+        classes = [m for m in (
+            sum(1 << v for v in range(g.n) if assignment[v] == c) for c in range(k)
+        ) if m]
+        ok = perturb._colors(g.adj, classes)
+        assert ok == (solver.verify(g, solver._assemble(g, classes)) is None)
+        seen.add(ok)
+    assert seen == {True, False}
 
 
 @st.composite

@@ -299,8 +299,8 @@ def test_r_glue_refuses_a_clique_above_either_value(chi1, chi2, r):
     # an r-clique needs r colors, so both values are at least r
     least = min(chi1, chi2)
     message = (
-        f"impossible r-gluing interval: a graph with an {r}-clique has a value "
-        f"of at least {r}, not {least}"
+        f"impossible r-gluing interval: a graph with a clique of {r} vertices "
+        f"has a value of at least {r}, not {least}"
     )
     with pytest.raises(ValueError) as info:
         dc.bound_r_glue(chi1, chi2, r)

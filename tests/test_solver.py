@@ -333,11 +333,15 @@ def test_compiled_kernel_matches_python_kernel(built_kernel):
     ]
     # 64 vertices, whose rows reach bit 63.  Below the value only k <= 1,
     # which fails at once: at k = value - 1 the Python kernel can take minutes.
-    # The compiled kernel takes k unclamped, up to the largest C int
+    # Both kernels take any int k, past the C int and long long ranges too
     for text in ("path:64", "cycle:64", "circulant:64:1,3", "grid:8x8"):
         g = gen(text)
         value = dc.dom_chromatic(g)[0]
-        cases += [(g.adj, k) for k in (-1, 0, 1, value, value + 1, 64, 65, 2**31 - 1)]
+        cases += [
+            (g.adj, k)
+            for k in (-(2**63), -1, 0, 1, value, value + 1, 64, 65, 2**31 - 1, 2**31, 2**63)
+        ]
+    cases += [([], k) for k in (-(2**63), 2**31, 2**63)]
     for adj, k in cases:
         assert built_kernel.find_coloring(adj, k) == _kernel_py.find_coloring(adj, k)
 
@@ -644,10 +648,16 @@ def test_component_bounds_bracket_the_value(g):
 
 
 def check_value_path(g):
-    """The value path equals ``dom_chromatic``, and every component's γ_t
+    """The value path equals ``dom_chromatic`` and its classes, in ``g``'s
+    labels, verify as a dominated coloring of ``g``; every component's γ_t
     witness coloring verifies, with exactly ``lower`` classes where the
     bracket is closed."""
-    assert solver.dom_chromatic_value(g) == dc.dom_chromatic(g)[0]
+    value = dc.dom_chromatic(g)[0]
+    assert solver.dom_chromatic_value(g) == value
+    classes = solver._solve(g, None, False)
+    coloring = solver._assemble(g, classes)
+    assert dc.verify(g, coloring) is None
+    assert coloring.k == len(classes) == value
     for comp, _ in dc.components(g):
         if comp.n < 2:
             continue
