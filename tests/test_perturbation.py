@@ -344,9 +344,8 @@ def test_pool_check_agrees_with_verify():
     for g in dense_and_sparse_graphs(7, 400):
         k = rng.randint(1, g.n)
         assignment = [rng.randrange(k) for _ in range(g.n)]
-        classes = [m for m in (
-            sum(1 << v for v in range(g.n) if assignment[v] == c) for c in range(k)
-        ) if m]
+        members = [[v for v in range(g.n) if assignment[v] == c] for c in range(k)]
+        classes = [sum(1 << v for v in vs) for vs in members if vs]
         ok = perturb._colors(g.adj, classes)
         assert ok == (solver.verify(g, solver._assemble(g, classes)) is None)
         seen.add(ok)
