@@ -214,8 +214,9 @@ def chromatic_number(g: Graph) -> InvariantResult:
 # -- domination --------------------------------------------------------------
 
 
-def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest vertex subset whose ``masks`` union covers every vertex.
+def _min_cover(masks: list[int] | tuple[int, ...], at_most: int = 0) -> tuple[int, ...]:
+    """Smallest vertex subset whose ``masks`` union covers every vertex, or,
+    where some cover has at most ``at_most`` picks, the first such cover.
 
     The masks are symmetric, so ``masks[e]`` lists the coverers of ``e``.
     Depth-first search for a cover of at most t picks, t raised by one until
@@ -228,12 +229,15 @@ def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     call.  The packing (open on open masks, ρ° <= γ_t; closed on closed
     ones, ρ <= γ; Henning & Yeo, *Total Domination in Graphs*, 2013) takes
     U's lowest vertex and drops its ``share`` row, every vertex one pick can
-    cover along with it, again and again.  t counts up from 0; the first
-    two cuts reject every t below both bounds at the root, before anything
-    is recorded in ``refuted`` or ``chosen``.  The cuts drop only subtrees
-    with no cover of t picks or fewer, so the first cover found at the
-    least t is the first minimum cover in depth-first order: a
-    reproducible witness.
+    cover along with it, again and again.  t counts up from ``at_most``, 0
+    by default; the first two cuts reject every t below both bounds at the
+    root, before anything is recorded in ``refuted`` or ``chosen``.  The
+    cuts drop only subtrees with no cover of t picks or fewer, so the first
+    cover found at the least t is the first minimum cover in depth-first
+    order: a reproducible witness.  A first t that finds no cover has only
+    filled ``refuted``, which stays true as t rises, so the witness is the
+    same as from t = 0; one that finds a cover returns the first cover of
+    at most ``at_most`` picks, which need not be minimum.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -280,7 +284,7 @@ def _min_cover(masks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         refuted[uncovered] = budget + 1
         return False
 
-    t = 0
+    t = at_most
     while not rec(full, t):
         t += 1
     return tuple(sorted(chosen))
@@ -294,11 +298,20 @@ def domination_number(g: Graph) -> InvariantResult:
     return InvariantResult(len(witness), witness)
 
 
-def total_domination_number(g: Graph) -> InvariantResult:
+def total_domination_number(g: Graph, *, at_most: int = 0) -> InvariantResult:
     """Minimum size of a set whose open neighborhoods cover the graph.
+
+    With ``at_most``, the question is only whether γ_t exceeds it.  Where
+    some total dominating set has at most ``at_most`` vertices, the result
+    is the first one the cover search meets, and its size may exceed γ_t;
+    otherwise it is the default call's minimum set.  Either way
+    ``max(at_most, value)`` is ``max(at_most, γ_t)``, and proving a set
+    minimal, the costly part on long chains, is skipped below the bound.
 
     Undefined when the graph is empty or has an isolated vertex.
     """
+    if at_most < 0:
+        raise ValueError("at_most must be non-negative")
     if g.n == 0:
         raise UndefinedInvariantError(
             "total domination number of the empty graph is undefined"
@@ -307,5 +320,5 @@ def total_domination_number(g: Graph) -> InvariantResult:
         raise UndefinedInvariantError(
             "total domination number is undefined with isolated vertices"
         )
-    witness = _min_cover(g.adj)
+    witness = _min_cover(g.adj, at_most)
     return InvariantResult(len(witness), witness)

@@ -486,18 +486,23 @@ def sandwich(g: Graph) -> Prediction:
     so an independent set of D2 needs pairwise distinct classes.  The
     fourth goes through ``invariants.distance_two_bound``, the solver's
     gate, so α(D2) is computed only where it could raise the other three:
-    never on a triangle chain.
+    never on a triangle chain.  Like the solver, ``sandwich`` asks γ_t
+    only whether it exceeds max(χ, neighborhood term), which leaves the
+    lower end the same.
     """
+    if g.n == 0:
+        raise UndefinedInvariantError("sandwich bound of the empty graph is undefined")
     if g.isolated_vertices():
         raise UndefinedInvariantError("sandwich bound needs an isolate-free graph")
     chi = chromatic_number(g).value
     gamma = domination_number(g).value
-    gamma_t = total_domination_number(g).value
     neighborhood = -(-g.n // max_neighborhood_independence(g.adj))
+    lower = max(chi, neighborhood)
+    gamma_t = total_domination_number(g, at_most=lower).value
     return Prediction(
         "interval",
         PROVED,
         "sandwich bound",
-        lo=distance_two_bound(g.adj, max(chi, gamma_t, neighborhood)),
+        lo=distance_two_bound(g.adj, max(lower, gamma_t)),
         hi=chi * gamma,
     )

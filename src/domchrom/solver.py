@@ -16,10 +16,14 @@ along a chain, is worth computing; ``predictions.sandwich`` shares it.
 ``dom_chromatic`` and ``dom_chromatic_value`` run one component loop,
 ``_solve``.  ``dom_chromatic`` always takes its certificate from the
 search kernel, so it is the canonical one wherever a certificate is
-printed or pinned.  ``dom_chromatic_value``, for callers that drop the
-certificate (the audit), reads the value of a closed bracket off the
-bounds and searches only the open ones.  The stability and bondage sweeps
-call ``_solve`` on that path directly and keep its classes.
+printed or pinned.  It therefore asks γ_t only whether it exceeds the
+clique and neighborhood terms, which leaves the lower bound and every
+kernel call the same and skips proving the cover minimal, the cost on
+long triangle chains.  ``dom_chromatic_value``, for callers that drop
+the certificate (the audit), keeps the exact γ_t, reads the value of a
+closed bracket off the bounds and searches only the open ones.  The
+stability and bondage sweeps call ``_solve`` on that path directly and
+keep its classes.
 
 Two interchangeable search kernels exist: a compiled extension and a pure
 Python fallback.  The compiled one is used when it imports and the
@@ -214,7 +218,7 @@ def _degeneracy_order(adj: tuple[int, ...]) -> list[int]:
     return elim
 
 
-def _component_bounds(comp: Graph) -> tuple[int, list[int]]:
+def _component_bounds(comp: Graph, certify: bool = False) -> tuple[int, list[int]]:
     """``(lower, classes)``: a lower bound on the dominated chromatic number
     of ``comp`` and the class bitmasks of a dominated coloring of it, whose
     count is the upper bound.
@@ -238,11 +242,19 @@ def _component_bounds(comp: Graph) -> tuple[int, list[int]]:
     dominates it.  In a triangle-free component each N(d) is independent,
     every part is one class, and ``len(classes)`` <= γ_t <= ``lower``: the
     bounds meet.
+
+    With ``certify``, the kernel search follows and fixes the certificate,
+    so γ_t is asked only whether it exceeds max(clique, neighborhood
+    term): ``at_most`` of ``total_domination_number``.  ``lower`` is the
+    same, but the witness, hence ``classes``, may be any total dominating
+    set of at most that size; ``_search`` reads only its α(D2) gate and
+    its loop's end from it.
     """
     adj = comp.adj
     clique = len(greedy_clique(adj))
     neighborhood = -(-comp.n // max_neighborhood_independence(adj))
-    gamma_t = total_domination_number(comp)
+    at_most = max(clique, neighborhood) if certify else 0
+    gamma_t = total_domination_number(comp, at_most=at_most)
     classes: list[int] = []
     left = (1 << comp.n) - 1
     for d in gamma_t.witness:
@@ -315,7 +327,7 @@ def _solve(g: Graph, backend: str | None, certify: bool) -> list[int]:
         if comp.n == 1:
             classes.append(1 << original[0])
             continue
-        lower, witness = _component_bounds(comp)
+        lower, witness = _component_bounds(comp, certify)
         if certify or lower < len(witness):
             classes += _search(comp, original, lower, len(witness), kernel)
         elif comp is g:  # connected: ``components`` returns g itself
@@ -337,7 +349,8 @@ def dom_chromatic(g: Graph, *, backend: str | None = None) -> tuple[int, DomColo
     computed only if a matching bound on it exceeds the lower bound, which
     it does on no triangle chain of up to 60 links.  The certificate is
     always the kernel's first solution, never the witness coloring, so it
-    does not depend on the bounds.  The empty graph has value 0.
+    does not depend on the bounds; hence γ_t is asked only whether it
+    exceeds the clique and neighborhood terms.  The empty graph has value 0.
     """
     coloring = _assemble(g, _solve(g, backend, certify=True))
     return coloring.k, coloring

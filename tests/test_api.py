@@ -63,7 +63,7 @@ SIGNATURES = {
     "report_to_dict": "(report: 'AuditReport') -> 'dict'",
     "sandwich": "(g: 'Graph') -> 'Prediction'",
     "spec": "(family: 'Family | str', *params: 'int') -> 'FamilySpec'",
-    "total_domination_number": "(g: 'Graph') -> 'InvariantResult'",
+    "total_domination_number": "(g: 'Graph', *, at_most: 'int' = 0) -> 'InvariantResult'",
     "verify": "(g: 'Graph', coloring: 'DomColoring') -> 'Violation | None'",
 }
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import domchrom as dc
-from domchrom.graph import _bfs_layers
+from domchrom.graph import _bfs_layers, bits
 from domchrom.invariants import _min_cover, distance_two_rows, independence_number
 from corpus import AUDIT_RANGES, digest, outcome, random_corpus
 
@@ -308,6 +308,53 @@ def test_refuted_table_keeps_the_cover_witness(text):
         g = gen(str(fs))
         for masks in (g.adj, [row | 1 << v for v, row in enumerate(g.adj)]):
             assert _min_cover(masks) == min_cover_reference(masks), fs
+
+
+def first_cover_within(masks, budget):
+    """The first cover of at most ``budget`` picks that a plain depth-first
+    search meets, branching as ``_min_cover`` does, or ``None``: the
+    contract of the bounded γ_t, kept without its cuts as a reference."""
+    sizes = [m.bit_count() for m in masks]
+    chosen = []
+
+    def rec(uncovered, left):
+        if not uncovered:
+            return True
+        if not left:
+            return False
+        target = min(bits(uncovered), key=lambda v: (sizes[v], v))
+        for v in bits(masks[target]):
+            chosen.append(v)
+            if rec(uncovered & ~masks[v], left - 1):
+                return True
+            chosen.pop()
+        return False
+
+    return tuple(sorted(chosen)) if rec((1 << len(masks)) - 1, budget) else None
+
+
+def test_bounded_total_domination_keeps_its_contract():
+    for g in random_corpus(
+        30, 120, n_lo=2, n_hi=14, probs=(0.15, 0.25, 0.35, 0.5), isolate_free=True
+    ):
+        exact = dc.total_domination_number(g)
+        for at_most in range(g.n + 2):
+            result = dc.total_domination_number(g, at_most=at_most)
+            covered = 0
+            for v in result.witness:
+                covered |= g.adj[v]
+            assert covered == (1 << g.n) - 1
+            assert result.value == len(result.witness)
+            if exact.value <= at_most:
+                assert result.witness == first_cover_within(g.adj, at_most)
+                assert exact.value <= result.value <= at_most
+            else:
+                assert result == exact
+
+
+def test_bounded_total_domination_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="at_most"):
+        dc.total_domination_number(gen("cycle:4"), at_most=-1)
 
 
 def _timed_total_domination(text, value):

@@ -7,8 +7,9 @@ import pytest
 
 import domchrom as dc
 from domchrom.families import normalize_connection_set
+from domchrom.invariants import distance_two_bound, max_neighborhood_independence
 from domchrom.predictions import PROVED, SUSPECT
-from corpus import digest, outcome, parameter_corpus
+from corpus import digest, outcome, parameter_corpus, random_corpus
 
 
 def fs(text):
@@ -336,3 +337,22 @@ def test_sandwich_lower_end_includes_distance_two_bound(text, lo):
 def test_sandwich_rejects_isolates():
     with pytest.raises(dc.UndefinedInvariantError):
         dc.sandwich(dc.make_graph(2, []))
+
+
+def test_sandwich_rejects_the_empty_graph():
+    with pytest.raises(dc.UndefinedInvariantError, match="^sandwich bound"):
+        dc.sandwich(dc.make_graph(0))
+
+
+def test_sandwich_lower_end_is_that_of_the_exact_total_domination_number():
+    # sandwich asks γ_t only whether it exceeds max(χ, neighborhood term),
+    # which leaves the lower end where exact γ_t puts it
+    graphs = [dc.generate(fs(text)) for text in ("tchain:12", "parahex:4", "wheel:9")]
+    graphs += random_corpus(78, 100, n_lo=2, n_hi=16, probs=(0.2, 0.35, 0.5), isolate_free=True)
+    for g in graphs:
+        terms = (
+            dc.chromatic_number(g).value,
+            dc.total_domination_number(g).value,
+            -(-g.n // max_neighborhood_independence(g.adj)),
+        )
+        assert dc.sandwich(g).lo == distance_two_bound(g.adj, max(terms))

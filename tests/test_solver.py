@@ -494,12 +494,20 @@ def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch)
         return distance_two_bound(adj, lower)
 
     monkeypatch.setattr(solver, "distance_two_bound", spy)
+    alpha_calls = alpha_d2_calls(monkeypatch)
     for text in ["cycle:12", "prism:7", "bipartite:4x5", "grid:3x4", "tchain:3"]:
         g = gen(text)
         lower, classes = solver._component_bounds(g)
         assert lower == len(classes)
         dc.dom_chromatic(g)
-    assert calls == []
+    # on the certificate path γ_t is asked only whether it exceeds 4, and
+    # its witness coloring has 7 classes, so the gate runs once on tchain:3;
+    # its matching bound is 4, so α(D2) is not computed
+    assert calls == [7]
+    lower, classes = solver._component_bounds(gen("tchain:3"), certify=True)
+    assert (lower, len(classes)) == (4, 7)
+    assert alpha_calls == []
+    calls.clear()
     dc.dom_chromatic(gen("cliquestar:5x3"))
     assert calls == [15]
 
@@ -565,16 +573,69 @@ def test_sandwich_skips_distance_two_bound_on_a_forty_link_triangle_chain(monkey
     assert calls == []
 
 
-def test_dom_chromatic_on_a_forty_link_triangle_chain():
-    # α(D2) alone takes 0.47 s here and is skipped; γ_t is nearly all of
-    # the 0.18 s left (best of three, Python kernel, shared 2-CPU VM)
-    g = gen("tchain:40")
+def _timed_dom_chromatic(text, value):
+    """Seconds ``dom_chromatic`` of ``text`` takes, after checking its value
+    and certificate."""
+    g = gen(text)
     start = time.perf_counter()
     k, coloring = dc.dom_chromatic(g)
     elapsed = time.perf_counter() - start
-    assert k == 41
+    assert k == value
     assert dc.verify(g, coloring) is None
-    assert elapsed < 2.0
+    return elapsed
+
+
+def test_dom_chromatic_on_a_forty_link_triangle_chain():
+    # α(D2) alone takes 0.47 s here and is skipped.  γ_t, asked only
+    # whether it exceeds the neighborhood term, leaves about 1 ms in all;
+    # proving γ_t minimal took 0.18 s (Python kernel, shared 2-CPU VM)
+    assert _timed_dom_chromatic("tchain:40", 41) < 2.0
+
+
+def test_dom_chromatic_on_a_sixty_link_triangle_chain():
+    # about 1.5 ms; proving γ_t minimal took 24 s (same machine as above)
+    assert _timed_dom_chromatic("tchain:60", 61) < 1.0
+
+
+def certified_runs(monkeypatch, graphs):
+    """``[value, assignment, dominators, kernel ks]`` of ``dom_chromatic``
+    on each graph, with the Python kernel."""
+    ks = []
+    find = _kernel_py.find_coloring
+
+    def recording(adj, k):
+        ks.append(k)
+        return find(adj, k)
+
+    monkeypatch.setattr(_kernel_py, "find_coloring", recording)
+    runs = []
+    for g in graphs:
+        ks.clear()
+        k, coloring = dc.dom_chromatic(g, backend="python")
+        runs.append([k, coloring.assignment, sorted(coloring.dominators.items()), list(ks)])
+    return runs
+
+
+def test_bounded_total_domination_leaves_certificates_and_kernel_calls_unchanged(monkeypatch):
+    graphs = [
+        gen(str(fs))
+        for text in ("tchain:2..20", "cliquestar:3..5x3")
+        for fs in dc.parse_family_range(text)
+    ]
+    graphs += random_corpus(77, 200, n_lo=12, n_hi=24, probs=(0.3, 0.35, 0.4, 0.45))
+    bounds = []
+    original = invariants.total_domination_number
+
+    def recording(g, *, at_most):
+        bounds.append(at_most)
+        return original(g, at_most=at_most)
+
+    monkeypatch.setattr(solver, "total_domination_number", recording)
+    bounded = certified_runs(monkeypatch, graphs)
+    assert bounds and all(b > 0 for b in bounds)
+    # ignore the bound: the exact cover
+    monkeypatch.setattr(solver, "total_domination_number", lambda g, *, at_most: original(g))
+    assert bounded == certified_runs(monkeypatch, graphs)
 
 
 def degeneracy_order_reference(adj):
