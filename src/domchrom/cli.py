@@ -31,14 +31,14 @@ def _load_target(target: str, fmt: str | None) -> Graph:
     family spec string.  An explicit ``--format`` always names a file."""
     if target == "-":
         text = sys.stdin.read()
-        return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
-    if os.path.exists(target):
+    elif os.path.exists(target):
         with open(target, encoding="utf-8") as fh:
             text = fh.read()
-        return parse_dimacs(text) if fmt == "dimacs" else parse_edge_list(text)
-    if fmt is not None:
+    elif fmt is not None:
         raise DomchromError(f"file not found: {target}")
-    return generate(parse_family(target))
+    else:
+        return generate(parse_family(target))
+    return (parse_dimacs if fmt == "dimacs" else parse_edge_list)(text)
 
 
 def _non_negative_int(text: str) -> int:

@@ -48,9 +48,10 @@ classes.  So where the floor equals the
 unperturbed value, a subset whose removal leaves some known coloring of
 that many classes dominated keeps the value, and needs no solve.  The
 known colorings are the unperturbed certificate and the classes of every
-subset solved since, newest first.  The floor is computed at the first
-subset that could skip; below the value, the sweep solves every subset.
-Deleting a vertex can lower γ_t, so the vertex sweep solves every subset.
+subset solved since, newest first.  The floor is compared with the value
+once, before the walk; below the value, no coloring is known and the
+sweep solves every subset.  Deleting a vertex can lower γ_t, so the vertex
+sweep solves every subset.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class _Level:
         self.identity = identity = tuple(range(n))
         self.least = least = list(range(n))
         self.to_least: list[Perm] = [identity] * n
-        self.tree: set[tuple[int, int]] = set()  # (point, generator) per tree edge
         inverses = [_inverse(p) for p in gens]
         reached = [False] * n
         for a in range(n):
@@ -166,7 +166,6 @@ class _Level:
                         reached[c] = True
                         least[c] = a
                         self.to_least[c] = _compose(self.to_least[b], inverses[k])
-                        self.tree.add((b, k))
                         orbit.append(c)
 
     def stabiliser(self, t: int, check: Callable[[], None]) -> _Level:
@@ -174,10 +173,10 @@ class _Level:
 
         By Schreier's lemma it is generated by ``u(p(b))^-1 p u(b)`` over
         the generators ``p`` and the orbit points ``b``, where ``u(b)``
-        carries ``t`` to ``b``; here ``u(b)^-1`` is ``to_least[b]``, and a
-        tree edge gives the identity.  Sims' filter keeps at most one of
-        them per first moved point and its image, dividing each newcomer by
-        the one kept before it.
+        carries ``t`` to ``b``; here ``u(b)^-1`` is ``to_least[b]``.  Sims'
+        filter keeps at most one of them per first moved point and its
+        image, dividing each newcomer by the one kept before it; a Schreier
+        tree edge gives the identity, which the filter drops.
         """
         if all(p[t] == t for p in self.gens):
             return self
@@ -187,10 +186,8 @@ class _Level:
             if a != t:
                 continue
             u = _inverse(self.to_least[b])
-            for k, p in enumerate(self.gens):
+            for p in self.gens:
                 check()
-                if (b, k) in self.tree:
-                    continue
                 h = _compose(self.to_least[p[b]], _compose(p, u))
                 while h != identity:
                     i = 0
@@ -282,30 +279,26 @@ def _floor(g: Graph) -> int:
 def _sweep(g: Graph, mode: str, items, delete, budget_ms, backend) -> PerturbationResult:
     """Try removing subsets of ``items``, smallest and lexicographically
     first, one per automorphism orbit, until the value changes.  In edge
-    mode a subset that a pooled coloring still colors is skipped while the
-    floor equals the value (see the module docstring)."""
+    mode, when the floor equals the value (compared once, before the
+    walk), a subset that a pooled coloring still colors is skipped (see
+    the module docstring); otherwise the pool stays empty."""
     deadline = Deadline(budget_ms)
     before, coloring = dom_chromatic(g, backend=backend)
-    pool = None
-    if mode == "edge":  # dominated colorings with ``before`` classes
-        pool = [[sum(1 << v for v in members) for members in coloring.classes().values()]]
-    floor = None
+    pool = []  # dominated colorings with ``before`` classes
+    if mode == "edge" and _floor(g) == before:
+        pool.append([sum(1 << v for v in members) for members in coloring.classes().values()])
     perms = _item_permutations(g, mode, items, deadline.check)
     for combo in _least_subsets(len(items), perms, deadline.check):
         subset = tuple(items[i] for i in combo)
         h = delete(g, subset)
         if pool and any(_colors(h.adj, classes) for classes in pool):
-            if floor is None:
-                floor = _floor(g)
-            if floor == before:
-                continue
-            pool = None
+            continue
         classes = _solve(h, backend, False)
         if len(classes) != before:
             return PerturbationResult(
                 mode, True, before, size=len(combo), witness=subset, after=len(classes)
             )
-        if pool is not None:
+        if pool:
             pool.insert(0, classes)
     return PerturbationResult(mode, False, before)
 

@@ -292,6 +292,25 @@ def test_bondage_of_a_large_group_solves_one_subset_per_orbit(monkeypatch):
     assert solved == [4]
 
 
+@pytest.mark.parametrize("text", ["path:3", "cycle:3", "cycle:12", "bipartite:4x5"])
+def test_floor_is_decided_once_per_bondage_sweep_and_never_per_stability(monkeypatch, text):
+    # path:3's first edge subset is the witness and no pooled coloring
+    # colors it; K3's floor, γ_t = 2, lies below its value 3
+    floors = []
+    floor = perturb._floor
+
+    def spy(h):
+        floors.append(h.m)
+        return floor(h)
+
+    monkeypatch.setattr(perturb, "_floor", spy)
+    g = gen(text)
+    dc.dom_bondage(g)
+    assert floors == [g.m]
+    dc.dom_stability(g)
+    assert floors == [g.m]
+
+
 @pytest.mark.parametrize("text", STABILITY_TABLE + ["prism:5", "circulant:12:1,3"])
 def test_stability_equals_plain_sweep(text):
     g = gen(text)

@@ -495,7 +495,19 @@ def test_distance_two_bound_is_computed_only_when_the_bounds_differ(monkeypatch)
 
     monkeypatch.setattr(solver, "distance_two_bound", spy)
     alpha_calls = alpha_d2_calls(monkeypatch)
-    for text in ["cycle:12", "prism:7", "bipartite:4x5", "grid:3x4", "tchain:3"]:
+    # ladder:30, parahex:12 and circulant:40:1,3 meet at 20, 26 and 10 on
+    # the certificate path; asking α(D2) on them anyway made dom_chromatic
+    # 18 to 110 times slower with the Python kernel
+    for text in [
+        "cycle:12",
+        "prism:7",
+        "bipartite:4x5",
+        "grid:3x4",
+        "tchain:3",
+        "ladder:30",
+        "parahex:12",
+        "circulant:40:1,3",
+    ]:
         g = gen(text)
         lower, classes = solver._component_bounds(g)
         assert lower == len(classes)
