@@ -151,8 +151,9 @@ def parse_family_range(text: str) -> list[FamilySpec]:
         lo, sep, hi = token.partition("..")
         try:
             values = list(range(int(lo), int(hi) + 1)) if sep else [int(token)]
-        except (ValueError, OverflowError):
-            # OverflowError: a range too long to list
+        except (ValueError, OverflowError, MemoryError):
+            # OverflowError: a range longer than an index allows;
+            # MemoryError: one too long to list in memory
             values = []
         if not values:
             raise InvalidParameterError(f"bad range token: {token!r}")

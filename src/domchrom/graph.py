@@ -5,6 +5,8 @@ constructions reduce to.
 Vertices are always ``0..n-1``.  ``adj[v]`` is an int bitmask of the open
 neighborhood of ``v``, which makes adjacency tests and neighborhood-subset
 checks (the core test of dominated-coloring search) single integer ops.
+``bits`` lists the vertices of a mask, and ``mask_image`` carries a mask
+through a vertex relabeling.
 
 A graph is checked once, where it enters: ``Graph(n, rows)`` checks rows
 from outside the library, and ``_derived`` builds the graphs derived from
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GraphFormatError
 
@@ -109,6 +111,16 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def mask_image(mask: int, labels: Sequence[int] | Mapping[int, int]) -> int:
+    """The bitmask of ``labels[v]`` over the set bits ``v`` of ``mask``."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= 1 << labels[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
 def make_graph(n: int, edges: Iterable[Sequence[int]] = ()) -> Graph:
     """Build a graph from a vertex count and an edge collection.
 
@@ -140,13 +152,7 @@ def induced(g: Graph, vertices: Sequence[int]) -> Graph:
     keep = 0
     for v in vertices:
         keep |= 1 << v
-    adj = []
-    for v in vertices:
-        mask = 0
-        for u in bits(g.adj[v] & keep):
-            mask |= 1 << pos[u]
-        adj.append(mask)
-    return _derived(tuple(adj))
+    return _derived(tuple(mask_image(g.adj[v] & keep, pos) for v in vertices))
 
 
 # -- symmetry -------------------------------------------------------------
@@ -242,10 +248,7 @@ def automorphism_generators(
             for a, cell in zip(first_leaf, cells):
                 p[a] = cell.bit_length() - 1
             for v in range(n):
-                image = 0
-                for u in bits(adj[v]):
-                    image |= 1 << p[u]
-                if image != adj[p[v]]:
+                if mask_image(adj[v], p) != adj[p[v]]:
                     return None
             return tuple(p)
         for x in bits(cells[i]):
@@ -364,8 +367,7 @@ def r_glue(g: Graph, h: Graph, clique_g: Sequence[int], clique_h: Sequence[int])
             nxt += 1
     adj = list(g.adj) + [0] * (nxt - g.n)
     for w in range(h.n):
-        for x in bits(h.adj[w]):
-            adj[mapping[w]] |= 1 << mapping[x]
+        adj[mapping[w]] |= mask_image(h.adj[w], mapping)
     return _derived(tuple(adj))
 
 

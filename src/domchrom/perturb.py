@@ -69,6 +69,7 @@ from .graph import (
     delete_edges,
     delete_vertices,
     induced,
+    mask_image,
 )
 from .invariants import total_domination_number
 from .solver import _solve, dom_chromatic
@@ -133,13 +134,6 @@ def _inverse(p: Perm) -> Perm:
     for i, j in enumerate(p):
         inverse[j] = i
     return tuple(inverse)
-
-
-def _image(mask: int, p: Perm) -> int:
-    image = 0
-    for i in bits(mask):
-        image |= 1 << p[i]
-    return image
 
 
 class _Level:
@@ -233,7 +227,7 @@ def _least_subsets(
                     if stab.least[u] < t:
                         return False
                     if stab.least[u] == t:
-                        next_images.add(image if u == t else _image(image, stab.to_least[u]))
+                        next_images.add(image if u == t else mask_image(image, stab.to_least[u]))
             images = next_images
             prefix |= 1 << t
         return True

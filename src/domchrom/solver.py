@@ -44,7 +44,7 @@ from typing import Mapping
 
 from . import _kernel_py
 from .errors import OracleCapError
-from .graph import Graph, bits, components, induced
+from .graph import Graph, bits, components, induced, mask_image
 from .invariants import (
     distance_two_bound,
     first_fit,
@@ -264,10 +264,9 @@ def _component_bounds(comp: Graph, certify: bool = False) -> tuple[int, list[int
     return max(clique, neighborhood, gamma_t.value), classes
 
 
-def _search(comp: Graph, original: tuple[int, ...], lower: int, upper: int, kernel) -> list[int]:
-    """Class bitmasks of the kernel's first solution at the least feasible
-    k for ``comp``, with each vertex ``v`` of ``comp`` written as
-    ``original[v]``.
+def _search(comp: Graph, lower: int, upper: int, kernel) -> list[int]:
+    """Class bitmasks, in ``comp``'s labels, of the kernel's first solution
+    at the least feasible k for ``comp``.
 
     The kernel sees the component relabeled once, in degeneracy order, and
     is asked once per k, counting up from ``lower``.  When ``upper``, the
@@ -289,7 +288,7 @@ def _search(comp: Graph, original: tuple[int, ...], lower: int, upper: int, kern
         raise AssertionError("the γ_t witness coloring makes k = upper feasible")
     masks = [0] * k
     for v, c in zip(order, found):
-        masks[c] |= 1 << original[v]
+        masks[c] |= 1 << v
     return masks
 
 
@@ -318,8 +317,10 @@ def _solve(g: Graph, backend: str | None, certify: bool) -> list[int]:
     singleton class.  Every other component is bracketed by
     ``_component_bounds`` and searched by the kernel (see ``_search``).
     Only with ``certify`` false does a closed bracket skip the search and
-    give its γ_t witness classes instead.  Either way every class is in
-    ``g``'s labels and together they form a dominated coloring of ``g``.
+    keep its γ_t witness classes instead.  Either way the component's
+    classes, in its own labels, are mapped to ``g``'s in one step, except
+    for a connected ``g``, which ``components`` returns as itself; together
+    they form a dominated coloring of ``g``.
     """
     kernel = _kernel_for(backend)
     classes: list[int] = []
@@ -327,13 +328,10 @@ def _solve(g: Graph, backend: str | None, certify: bool) -> list[int]:
         if comp.n == 1:
             classes.append(1 << original[0])
             continue
-        lower, witness = _component_bounds(comp, certify)
-        if certify or lower < len(witness):
-            classes += _search(comp, original, lower, len(witness), kernel)
-        elif comp is g:  # connected: ``components`` returns g itself
-            classes += witness
-        else:
-            classes += [sum(1 << original[v] for v in bits(mask)) for mask in witness]
+        lower, found = _component_bounds(comp, certify)
+        if certify or lower < len(found):
+            found = _search(comp, lower, len(found), kernel)
+        classes += found if comp is g else [mask_image(m, original) for m in found]
     return classes
 
 
