@@ -1,11 +1,11 @@
 /* Compiled search kernel for dominated k-colorings of graphs with at most
- * 64 vertices.  It must stay behaviorally identical to _kernel_py.py: same
- * vertex order, same class order, same first solution.  Edit the two
+ * 64 vertices; it returns the first solution's class bitmasks in opening
+ * order, or None.  It must stay behaviorally identical to _kernel_py.py:
+ * same vertex order, same class order, same first solution.  Edit the two
  * together; the differential test in tests/test_solver.py guards them.
  * k may be any Python int: no class opens at k <= 0 and at most n <= 64
  * open, so k is clamped to 0..64 without changing the search; then
- * n_open <= i < n bounds every index, and a graph with no vertices gives
- * [] for every k. */
+ * n_open <= i < n bounds every index.  With n = 0, every k gives []. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -18,14 +18,13 @@ typedef struct {
     uint64_t adj[MAX_N];
     uint64_t class_mask[MAX_N]; /* members of each open class */
     uint64_t cand[MAX_N];       /* surviving candidate dominators per class */
-    int colors[MAX_N];
 } Search;
 
-/* Assign vertex i, given n_open classes already open; 1 on success. */
+/* Assign vertex i, n_open classes open; the solution's open count or -1. */
 static int search(Search *s, int i, int n_open)
 {
     if (i == s->n)
-        return 1;
+        return n_open;
     uint64_t av = s->adj[i];
     uint64_t bit = (uint64_t)1 << i;
     for (int c = 0; c < n_open; c++) {
@@ -37,20 +36,18 @@ static int search(Search *s, int i, int n_open)
         uint64_t saved = s->cand[c];
         s->class_mask[c] |= bit;
         s->cand[c] = narrowed;
-        s->colors[i] = c;
-        if (search(s, i + 1, n_open))
-            return 1;
+        int found = search(s, i + 1, n_open);
+        if (found >= 0)
+            return found;
         s->class_mask[c] ^= bit;
         s->cand[c] = saved;
     }
     if (n_open < s->k) {
         s->class_mask[n_open] = bit;
         s->cand[n_open] = av;
-        s->colors[i] = n_open;
-        if (search(s, i + 1, n_open + 1))
-            return 1;
+        return search(s, i + 1, n_open + 1);
     }
-    return 0;
+    return -1;
 }
 
 static PyObject *find_coloring(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -87,16 +84,17 @@ static PyObject *find_coloring(PyObject *self, PyObject *args, PyObject *kwargs)
         if (s.adj[i] == (uint64_t)-1 && PyErr_Occurred())
             return NULL;
     }
-    if (!search(&s, 0, 0))
+    int n_open = search(&s, 0, 0);
+    if (n_open < 0)
         Py_RETURN_NONE;
 
-    PyObject *out = PyList_New(n);
-    for (int i = 0; out != NULL && i < s.n; i++) {
-        PyObject *color = PyLong_FromLong(s.colors[i]);
-        if (color == NULL)
+    PyObject *out = PyList_New(n_open);
+    for (int c = 0; out != NULL && c < n_open; c++) {
+        PyObject *mask = PyLong_FromUnsignedLongLong(s.class_mask[c]);
+        if (mask == NULL)
             Py_CLEAR(out);
         else
-            PyList_SET_ITEM(out, i, color);
+            PyList_SET_ITEM(out, c, mask);
     }
     return out;
 }

@@ -32,7 +32,7 @@ class AuditRow:
     spec: str
     kind: str
     status: str
-    predicted: int | tuple[int, int] | None
+    predicted: int | None
     expected: int | None = None
     errata: bool = False
     solver: int | None = None

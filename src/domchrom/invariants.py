@@ -20,7 +20,7 @@ from dataclasses import dataclass
 # solver's kernel through ``_kernel_py.find_coloring`` then counts no χ calls.
 from ._kernel_py import find_coloring
 from .errors import UndefinedInvariantError
-from .graph import Graph, bits, induced
+from .graph import Graph, bits, induced, mask_image
 
 
 @dataclass(frozen=True)
@@ -190,25 +190,27 @@ def chromatic_number(g: Graph) -> InvariantResult:
     An apex, a vertex adjacent to every other, dominates every class it is
     not in, so the dominated colorings of G plus an apex are exactly the
     proper colorings of G with the apex alone in one more class, and
-    χ(G) = χ_dom(G + apex) - 1.  The kernel sees the apex first, so it
-    takes class 0, then G's vertices in degree-descending order.  Each k
-    from a greedy clique up to the first-fit coloring's size is asked once;
-    if none is feasible, the first-fit coloring is the witness.
+    χ(G) = χ_dom(G + apex) - 1.  The kernel sees the apex as bit 0, so it
+    opens class 0 alone, then G's vertices in degree-descending order as
+    bits 1, 2, ....  Each k from a greedy clique up to the first-fit
+    coloring's size is asked once.  The witness numbers 1, 2, ... the
+    classes of the first feasible k's solution after the apex's, shifted
+    down one bit and mapped back to G's labels, or the first-fit classes
+    if no k is feasible.
     """
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    greedy = first_fit(g.adj, order)
-    colors = [0] * g.n
-    for c, mask in enumerate(greedy, start=1):
-        for v in bits(mask):
-            colors[v] = c
+    classes = first_fit(g.adj, order)
     apex_adj = [((1 << g.n) - 1) << 1] + [1 | row << 1 for row in induced(g, order).adj]
-    for k in range(len(greedy_clique(g.adj)), len(greedy)):
+    for k in range(len(greedy_clique(g.adj)), len(classes)):
         found = find_coloring(apex_adj, k + 1)
         if found is not None:
-            for v, c in zip(order, found[1:]):
-                colors[v] = c
-            return InvariantResult(k, tuple(colors))
-    return InvariantResult(len(greedy), tuple(colors))
+            classes = [mask_image(mask >> 1, order) for mask in found[1:]]
+            break
+    colors = [0] * g.n
+    for c, mask in enumerate(classes, start=1):
+        for v in bits(mask):
+            colors[v] = c
+    return InvariantResult(len(classes), tuple(colors))
 
 
 # -- domination --------------------------------------------------------------

@@ -8,9 +8,9 @@ parameters and returns its prediction, or raises
 :class:`NoPredictionError` for parameters outside the rule's domain.
 Almost every row is built by ``_rule`` from its domain, the message for
 parameters outside it, the rule's name, its value and its note
-(``_one_param`` for a rule in one parameter ``n >= least``); only the grid
-and circulant rules, whose notes depend on intermediate values, are named
-functions.
+(``_one_param`` for a rule in one parameter ``n >= least``); only the
+circulant rule, whose row and name depend on its folded connection set,
+is a named function.
 
 Each prediction carries a provenance status so the audit can adjudicate
 rather than silently correct:
@@ -201,27 +201,22 @@ def _ladder_note(n: int) -> str:
     return "below the class-size bound" if below else ""
 
 
-def _grid_prediction(m: int, n: int) -> Prediction:
-    if m < 2 or n < 2:
-        raise NoPredictionError("grid rule needs m, n >= 2")
-    note = ""
+def _grid_value(m: int, n: int) -> int:
+    # t blocks of three columns take m classes each; one leftover column
+    # takes a path's classes, two take a ladder's
     t, r = divmod(n, 3)
-    value = t * m
-    if r == 1:
+    return t * m + (0, _path_cycle_value(m), _ladder_value(m))[r]
+
+
+def _grid_note(m: int, n: int) -> str:
+    # the assembled value may dip under the class-size bound ceil(mn/4)
+    if _grid_value(m, n) < -(-m * n // 4):
+        return "below the class-size bound"
+    if n % 3 == 1:
         # the extra-path-of-columns construction is refuted at 3x4, where
         # the true value is one lower, so the whole branch carries doubt
-        value += _path_cycle_value(m)
-        note = "the n = 3t+1 column construction is not always optimal"
-    elif r == 2:
-        value += _ladder_value(m)
-        if _ladder_note(m):
-            note = "inherits a suspect ladder input"
-    # the assembled value may also dip under the class-size bound ceil(mn/4)
-    if value < -(-m * n // 4):
-        note = "below the class-size bound"
-    return Prediction(
-        "exact", SUSPECT if note else PROVED, "grid column recursion", value=value, note=note
-    )
+        return "the n = 3t+1 column construction is not always optimal"
+    return "inherits a suspect ladder input" if n % 3 == 2 and _ladder_note(m) else ""
 
 
 def _circulant13_value(n: int) -> int:
@@ -296,7 +291,10 @@ _DOM_RULES: dict[Family, Callable[..., Prediction]] = {
     Family.PRISM: _one_param(
         4, "prism", "prism equals ladder rule", _ladder_value, _ladder_note
     ),
-    Family.GRID: _grid_prediction,
+    Family.GRID: _rule(
+        lambda m, n: m >= 2 and n >= 2, "grid rule needs m, n >= 2",
+        "grid column recursion", _grid_value, _grid_note,
+    ),
     Family.WHEEL: _one_param(
         3, "wheel", "hub has full degree so equal to chromatic number", lambda n: 3 + n % 2
     ),

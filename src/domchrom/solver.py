@@ -269,7 +269,8 @@ def _search(comp: Graph, lower: int, upper: int, kernel) -> list[int]:
     at the least feasible k for ``comp``.
 
     The kernel sees the component relabeled once, in degeneracy order, and
-    is asked once per k, counting up from ``lower``.  When ``upper``, the
+    is asked once per k, counting up from ``lower``; each class bitmask it
+    returns is mapped back to ``comp``'s labels.  When ``upper``, the
     size of the γ_t witness coloring, exceeds ``lower``, the start is
     raised by ``distance_two_bound`` to α(D2) if that is higher (vertices
     at distance exactly 2 are the only ones that can share a class); its
@@ -283,13 +284,8 @@ def _search(comp: Graph, lower: int, upper: int, kernel) -> list[int]:
     for k in range(start, upper + 1):
         found = kernel(local_adj, k)
         if found is not None:
-            break
-    else:
-        raise AssertionError("the γ_t witness coloring makes k = upper feasible")
-    masks = [0] * k
-    for v, c in zip(order, found):
-        masks[c] |= 1 << v
-    return masks
+            return [mask_image(mask, order) for mask in found]
+    raise AssertionError("the γ_t witness coloring makes k = upper feasible")
 
 
 def _assemble(g: Graph, classes: list[int]) -> DomColoring:

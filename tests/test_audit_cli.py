@@ -133,6 +133,22 @@ def test_cli_audit_exit_one_on_wrong_proved_row(monkeypatch, capsys):
     assert json.loads(out)["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "text,status,errata",
+    [("flower:3x2", "suspect", False), ("cycle:3", "suspect", True), ("cycle:5", "proved", False)],
+)
+def test_audit_fails_on_a_solver_oracle_split(text, status, errata, monkeypatch, capsys):
+    # each row agrees with the value it expects, so only the split fails it
+    real = dc.dom_chromatic_oracle
+    monkeypatch.setattr("domchrom.audit.dom_chromatic_oracle", lambda g, cap: real(g, cap=cap) + 1)
+    report = dc.audit_specs(dc.parse_family_range(text))
+    (row,) = report.rows
+    assert (row.status, row.errata, row.agree) == (status, errata, True)
+    assert row.failed and not report.ok
+    assert main(["audit", "--family", text]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def test_report_dict_shape():
     report = dc.audit_specs(dc.parse_family_range("path:4..5"))
     payload = dc.report_to_dict(report)

@@ -296,7 +296,16 @@ def test_python_kernel_takes_any_k():
     for g in random_corpus(27, 30, n_lo=1, n_hi=9, isolate_free=True):
         assert all(_kernel_py.find_coloring(g.adj, k) is None for k in (-3, -1, 0))
         at_n = _kernel_py.find_coloring(g.adj, g.n)
+        # the result is the classes as bitmasks in opening order: they
+        # partition the vertices, their lowest members increase, and each
+        # has no internal edge and a common neighbor
         assert at_n is not None
+        assert sorted(v for mask in at_n for v in bits(mask)) == list(range(g.n))
+        lowest = [mask & -mask for mask in at_n]
+        assert lowest == sorted(set(lowest))
+        for mask in at_n:
+            assert not any(g.adj[v] & mask for v in bits(mask))
+            assert any(not mask & ~row for row in g.adj)
         for k in (g.n + 1, g.n + 7, 10**6):
             assert _kernel_py.find_coloring(g.adj, k) == at_n
 
