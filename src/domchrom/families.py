@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import InvalidParameterError
-from .graph import Graph, cartesian_product, make_graph, point_attach
+from .graph import Graph, _ints, cartesian_product, make_graph, point_attach
 
 
 class Family(Enum):
@@ -118,11 +118,10 @@ def _split_spec(text: str) -> tuple[Family, list[str], tuple[int, ...]]:
         raise InvalidParameterError(f"missing parameters in spec: {text!r}")
     if family is Family.CIRCULANT:
         n_text, _, conn_text = rest.partition(":")
-        try:
-            conn = tuple(int(tok) for tok in conn_text.split(","))
-        except ValueError:
-            raise InvalidParameterError(f"bad parameters in spec: {text!r}") from None
-        return family, [n_text], conn
+        conn = _ints(conn_text.split(","))
+        if conn is None:
+            raise InvalidParameterError(f"bad parameters in spec: {text!r}")
+        return family, [n_text], tuple(conn)
     if family in _TWO_PARAM:
         a, _, b = rest.partition("x")
         return family, [a, b], ()
@@ -133,37 +132,39 @@ def parse_family(text: str) -> FamilySpec:
     """Parse a spec string such as ``path:7``, ``grid:3x5`` or
     ``circulant:12:1,3``."""
     family, slots, conn = _split_spec(text)
-    try:
-        params = tuple(int(slot) for slot in slots)
-    except ValueError:
-        raise InvalidParameterError(f"bad parameters in spec: {text!r}") from None
-    return FamilySpec(family, params + conn)
+    params = _ints(slots)
+    if params is None:
+        raise InvalidParameterError(f"bad parameters in spec: {text!r}")
+    return FamilySpec(family, (*params, *conn))
+
+
+# the most instances one range spec may list
+MAX_RANGE_SPECS = 100_000
 
 
 def parse_family_range(text: str) -> list[FamilySpec]:
     """Expand a range spec like ``cycle:4..12`` or ``grid:2..4x2..4``.
 
     Plain values are allowed in any slot, so ``circulant:6..16:1,3`` sweeps
-    only the order.  Instances come out in row-major parameter order.
+    only the order.  Instances come out in row-major parameter order.  The
+    instances are counted before any is listed: a slot of no values, or
+    of more than ``MAX_RANGE_SPECS``, is a bad range token, and slots whose
+    counts multiply to more than that make the range too long.
     """
-
-    def expand(token: str) -> list[int]:
-        lo, sep, hi = token.partition("..")
-        try:
-            values = list(range(int(lo), int(hi) + 1)) if sep else [int(token)]
-        except (ValueError, OverflowError, MemoryError):
-            # OverflowError: a range longer than an index allows;
-            # MemoryError: one too long to list in memory
-            values = []
-        if not values:
-            raise InvalidParameterError(f"bad range token: {token!r}")
-        return values
-
     family, slots, conn = _split_spec(text)
-    return [
-        FamilySpec(family, params + conn)
-        for params in itertools.product(*map(expand, slots))
-    ]
+    ranges = []
+    for token in slots:
+        lo, sep, hi = token.partition("..")
+        bounds = _ints([lo, hi] if sep else [token, token])
+        if bounds is None or not 1 <= bounds[1] - bounds[0] + 1 <= MAX_RANGE_SPECS:
+            raise InvalidParameterError(f"bad range token: {token!r}")
+        ranges.append(range(bounds[0], bounds[1] + 1))
+    count = math.prod(map(len, ranges))
+    if count > MAX_RANGE_SPECS:
+        raise InvalidParameterError(
+            f"range too long: {text!r} lists {count} instances, more than {MAX_RANGE_SPECS}"
+        )
+    return [FamilySpec(family, params + conn) for params in itertools.product(*ranges)]
 
 
 # -- individual builders ---------------------------------------------------

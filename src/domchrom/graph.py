@@ -437,7 +437,17 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parsed_graph(n: int, edges: list[Edge]) -> Graph:
+def _ints(tokens: Iterable[str]) -> list[int] | None:
+    """The integers ``tokens`` spell, or ``None`` where one spells none.
+    The text formats here and the family specs read every integer through
+    it, each caller checking the count it needs."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        return None
+
+
+def _parsed_graph(n: int, edges: list[Sequence[int]]) -> Graph:
     """``make_graph`` whose bad input, absurd sizes too, is a format error."""
     try:
         return make_graph(n, edges)
@@ -452,10 +462,9 @@ def parse_edge_list(text: str) -> Graph:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise GraphFormatError("empty edge-list document")
-    try:
-        header = [int(tok) for tok in rows[0]]
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header line: {rows[0]}") from exc
+    header = _ints(rows[0])
+    if header is None:
+        raise GraphFormatError(f"bad header line: {rows[0]}")
     if len(header) != 2:
         raise GraphFormatError("header must be 'n m'")
     n, m = header
@@ -463,13 +472,10 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
     for row in rows[1:]:
-        if len(row) != 2:
+        edge = _ints(row)
+        if edge is None or len(edge) != 2:
             raise GraphFormatError(f"bad edge line: {' '.join(row)}")
-        try:
-            u, v = int(row[0]), int(row[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad edge line: {' '.join(row)}") from exc
-        edges.append((u, v))
+        edges.append(edge)
     return _parsed_graph(n, edges)
 
 
@@ -485,25 +491,18 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise GraphFormatError("duplicate problem line")
-            if len(parts) != 4 or parts[1] not in ("edge", "edges", "col"):
+            counts = _ints(parts[2:]) if parts[1:2] in (["edge"], ["edges"], ["col"]) else None
+            # the edge count is read but not matched against the e lines
+            if counts is None or len(counts) != 2 or counts[1] < 0:
                 raise GraphFormatError(f"bad problem line: {line}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad problem line: {line}") from exc
-            if m < 0:
-                # the edge count is read but not matched against the e lines
-                raise GraphFormatError(f"bad problem line: {line}")
+            n = counts[0]
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError("edge line before problem line")
-            if len(parts) != 3:
+            edge = _ints(parts[1:])
+            if edge is None or len(edge) != 2:
                 raise GraphFormatError(f"bad edge line: {line}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad edge line: {line}") from exc
-            edges.append((u - 1, v - 1))
+            edges.append((edge[0] - 1, edge[1] - 1))
         else:
             raise GraphFormatError(f"unrecognized line: {line}")
     if n is None:

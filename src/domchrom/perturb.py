@@ -147,17 +147,15 @@ class _Level:
         self.least = least = list(range(n))
         self.to_least: list[Perm] = [identity] * n
         inverses = [_inverse(p) for p in gens]
-        reached = [False] * n
         for a in range(n):
-            if reached[a]:
+            if least[a] < a:  # in the orbit of a smaller root
                 continue
-            reached[a] = True
             orbit = [a]
             for b in orbit:  # ``orbit`` grows as it is read
                 for k, p in enumerate(gens):
                     c = p[b]
-                    if not reached[c]:
-                        reached[c] = True
+                    # every point below ``a`` lies in an orbit already walked
+                    if c > a and least[c] == c:
                         least[c] = a
                         self.to_least[c] = _compose(self.to_least[b], inverses[k])
                         orbit.append(c)

@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -382,16 +384,52 @@ def test_cli_negative_cap_or_budget_is_usage_error(argv, capsys):
     assert code == 2 and out == "" and "must be non-negative" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(argv, **kwargs):
+    """``python -m domchrom argv`` in a child process importing this copy."""
     src = str(Path(dc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
-    done = subprocess.run(
-        [sys.executable, "-m", "domchrom", "gen", "path:3"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "domchrom", *argv],
+        capture_output=True, text=True, env=env, timeout=60, **kwargs,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module(["gen", "path:3"])
     assert done.returncode == 0 and done.stdout == "3 2\n0 1\n1 2\n"
+
+
+def _one_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_audit_counts_a_product_range_before_listing_it():
+    # each slot alone is within the cap; listing their 10^10 specs would
+    # exhaust the machine, so the child may only map 1 GiB
+    start = time.monotonic()
+    done = run_module(
+        ["audit", "--family", "grid:1..100000x1..100000"],
+        preexec_fn=_one_gib_of_address_space,
+    )
+    assert time.monotonic() - start < 5
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "error: range too long: 'grid:1..100000x1..100000' lists 10000000000 instances,"
+        " more than 100000\n"
+    )
+
+
+def test_a_range_lists_at_most_a_hundred_thousand_specs():
+    specs = dc.parse_family_range("path:1..100000")
+    assert len(specs) == 100_000 and specs[-1] == dc.spec("path", 100_000)
+    assert len(dc.parse_family_range("grid:1..1000x1..100")) == 100_000
+    with pytest.raises(dc.InvalidParameterError, match=r"^bad range token: '1\.\.100001'$"):
+        dc.parse_family_range("path:1..100001")
+    with pytest.raises(dc.InvalidParameterError, match="^range too long: 'grid:1..1000x1..101' "
+                       "lists 101000 instances, more than 100000$"):
+        dc.parse_family_range("grid:1..1000x1..101")
 
 
 def test_cli_audit_writes_report(tmp_path, capsys):

@@ -585,5 +585,51 @@ def test_parsers_return_a_graph_or_raise_a_format_error(case):
     assert dc.Graph(g.n, g.adj) == g
 
 
+# Spec-like text: a family token or junk, then one to three slots of signed
+# numbers of at most three characters, plain or as ``lo..hi`` or junk, joined
+# by 'x', and maybe a connection list.  Two ``lo..hi`` slots can ask for up
+# to 1099^2 specs, more than a range may list, so such specs on the
+# two-parameter families are drawn as well.
+_NUMBER = st.integers(-99, 999)
+_RANGE = st.lists(_NUMBER, min_size=2, max_size=2).map(sorted).map(lambda b: f"{b[0]}..{b[1]}")
+_SLOT = st.one_of(
+    _NUMBER.map(str),
+    _RANGE,
+    st.tuples(_NUMBER, _NUMBER).map(lambda b: f"{b[0]}..{b[1]}"),
+    st.sampled_from(["", "..", "x", "1.5", "5.."]),
+)
+
+
+@st.composite
+def _spec_texts(draw):
+    head = draw(st.sampled_from([f.value for f in dc.Family] + ["", "moebius"]))
+    text = head + draw(st.sampled_from([":", ":", "", "::"]))
+    text += "x".join(draw(st.lists(_SLOT, min_size=1, max_size=3)))
+    if head == "circulant" or draw(st.booleans()):
+        text += ":" + ",".join(draw(st.lists(st.one_of(_NUMBER.map(str), st.just("")), max_size=3)))
+    return text
+
+
+_TWO_SLOT_RANGES = st.builds(
+    "{}:{}x{}".format,
+    st.sampled_from(["grid", "bipartite", "doublestar", "flower", "cliquestar"]),
+    _RANGE,
+    _RANGE,
+)
+
+
+@settings(max_examples=300)
+@pytest.mark.parametrize("parse", [dc.parse_family, dc.parse_family_range])
+@given(text=st.one_of(_spec_texts(), _TWO_SLOT_RANGES))
+def test_spec_parsers_return_specs_or_raise_a_parameter_error(parse, text):
+    try:
+        got = parse(text)
+    except dc.InvalidParameterError:
+        return
+    specs = [got] if parse is dc.parse_family else got
+    assert isinstance(specs, list) and len(specs) <= 100_000
+    assert all(isinstance(fs, dc.FamilySpec) for fs in specs)
+
+
 def test_bits_helper():
     assert bits(0b10110) == [1, 2, 4]
